@@ -23,7 +23,7 @@ from .hyper import combine_embeddings, selection_embedding
 from .model import Model, build_model
 from .tasks import generate_task_batch
 from .tensor import Rng, Tape, Tensor, finite_diff_grad
-from .training import combined_loss, evaluate, train_model, write_metrics_csv
+from .training import combined_loss, evaluate, make_optimizer, train_model, train_step, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,26 +72,23 @@ def cmd_eval(args) -> int:
 
 
 def _timed_steps(model: Model, phase: str, steps: int, warmup: int) -> float:
-    """Samples per second over the post-warmup steps."""
-    from .training import Adam
+    """Samples per second over the post-warmup steps.
 
+    Train steps are ``training.train_step`` with the optimizer training builds.
+    """
     cfg = model.cfg
     data_rng = Rng(cfg.seed).spawn("bench-data")
     noise_rng = Rng(cfg.seed).spawn("bench-noise")
-    opt = Adam(model.params, lr=cfg.learning_rate)
+    opt = make_optimizer(model)
     start = None
     for step in range(steps):
         if step == warmup:
             start = time.perf_counter()
         inputs, targets = generate_task_batch(model.task, data_rng, cfg.batch_size)
-        with Tape():
-            if phase == "train":
-                result = model.forward(inputs, training=True, noise_rng=noise_rng)
-                total, _, _ = combined_loss(result, targets, model.task, cfg)
-                total.backward()
-                opt.step()
-                model.zero_grads()
-            else:
+        if phase == "train":
+            train_step(model, opt, inputs, targets, noise_rng)
+        else:
+            with Tape():
                 model.forward(inputs, training=False)
     duration = time.perf_counter() - start
     return (steps - warmup) * cfg.batch_size / duration

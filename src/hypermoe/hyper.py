@@ -5,6 +5,18 @@ experts, average their embeddings through a small MLP into a selection
 embedding, fuse with the layer embedding, and feed the result to the shared
 generator to produce a (down, up) bottleneck expert that runs in parallel
 with the routed experts.
+
+The generated weights are linear in the code k, D_i = reshape(W_down k_i)
+and U_i = reshape(W_up k_i), so the batched forward never builds them: with
+W_down viewed as (h, b*t_k), each row of x W_down viewed as (b, t_k), and
+W_up viewed as (b*t_k, h),
+
+    relu(x_i D_i)  = relu(sum_j k_ij (x W_down)_i[:, j])
+    relu(.) U_i    = (relu(.) outer k_i) W_up
+
+which is two plain GEMMs and O(T*b*t_k) memory instead of O(T*h*b).
+``generate_hyperexpert`` and ``hyperexpert_forward`` build one token's D and
+U explicitly and serve as the reference.
 """
 
 from __future__ import annotations
@@ -131,12 +143,24 @@ def hyperexpert_forward(x: Tensor, gen: GeneratedExpert) -> Tensor:
 
 
 def _batched_hyperexpert(x: Tensor, k_all: Tensor, hn: HyperNetParams) -> Tensor:
-    """Generate and apply a distinct bottleneck expert for every token at once."""
-    n_tokens = x.shape[0]
-    down = T.reshape(k_all @ T.transpose_last2(hn.w_down), (n_tokens, hn.h, hn.b))
-    up = T.reshape(k_all @ T.transpose_last2(hn.w_up), (n_tokens, hn.b, hn.h))
-    hidden = T.relu(T.reshape(x, (n_tokens, 1, hn.h)) @ down)
-    return T.reshape(hidden @ up, (n_tokens, hn.h))
+    """Apply every token's generated bottleneck expert without building it.
+
+    Token i's expert is relu(x_i D_i) U_i with D_i = reshape(W_down k_i, (h, b))
+    and U_i = reshape(W_up k_i, (b, h)). Contracting k last gives
+
+        hidden_i = relu(sum_j k_ij (x W_down')_i[:, j])    W_down' = W_down as (h, b*t_k)
+        out_i    = (hidden_i outer k_i) W_up'              W_up' = W_up as (b*t_k, h)
+
+    so the whole batch costs two GEMMs and (T, b, t_k) intermediates.
+    """
+    n_tokens, t_k = x.shape[0], k_all.shape[-1]
+    h, b = hn.h, hn.b
+    code = T.reshape(k_all, (n_tokens, 1, t_k))
+    projected = T.reshape(x @ T.reshape(hn.w_down, (h, b * t_k)), (n_tokens, b, t_k))
+    hidden = T.relu(T.tsum(projected * code, axis=-1))  # (T, b, 1)
+    outer = T.reshape(hidden * code, (n_tokens, b * t_k))
+    w_up = T.reshape(T.transpose_last2(T.reshape(hn.w_up, (b, h, t_k))), (b * t_k, h))
+    return outer @ w_up
 
 
 def conditioning_mask(decision: GateDecision, condition_on: str) -> Tensor:

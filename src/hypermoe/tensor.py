@@ -78,9 +78,12 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: Array) -> None:
+        # The first gradient is copied: ops hand over their own ``out.grad``
+        # or views of it, which a later ``+=`` must not write through.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         backward(self)
@@ -227,14 +230,6 @@ def softplus(x: Tensor) -> Tensor:
     return _record(out, (x,), back)
 
 
-def elementwise(kind: str, *operands: Tensor) -> Tensor:
-    """Dispatch by name; mirrors the pointwise op vocabulary."""
-    table = {"add": add, "mul": mul, "relu": relu, "softplus": softplus}
-    if kind not in table:
-        raise ValueError(f"unknown elementwise kind {kind!r}")
-    return table[kind](*operands)
-
-
 # ---------------------------------------------------------------------------
 # matmul and shape ops
 
@@ -242,6 +237,8 @@ def elementwise(kind: str, *operands: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 1 or b.data.ndim < 1 or a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    if a.data.ndim > 2 and b.data.ndim == 2:
+        return _matmul_flat(a, b)
     out = Tensor(np.matmul(a.data, b.data))
 
     def back() -> None:
@@ -252,6 +249,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad or b._parents:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b.accumulate_grad(_unbroadcast(gb, b.shape))
+
+    return _record(out, (a, b), back)
+
+
+def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
+    """(..., k) @ (k, n) as single GEMMs over the rows of ``a`` flattened to (-1, k).
+
+    The weight gradient is then one (k, rows) @ (rows, n) product, not a
+    stack of per-batch products that ``_unbroadcast`` would sum.
+    """
+    a2 = a.data.reshape(-1, a.shape[-1])
+    out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],)))
+
+    def back() -> None:
+        g2 = out.grad.reshape(-1, b.shape[1])
+        if a.requires_grad or a._parents:
+            a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
+        if b.requires_grad or b._parents:
+            b.accumulate_grad(a2.T @ g2)
 
     return _record(out, (a, b), back)
 
@@ -394,7 +410,7 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     out = Tensor(x.data.sum(axis=axis, keepdims=axis is not None))
 
     def back() -> None:
-        x.accumulate_grad(np.broadcast_to(out.grad, x.shape).copy())
+        x.accumulate_grad(np.broadcast_to(out.grad, x.shape))
 
     return _record(out, (x,), back)
 
@@ -443,13 +459,6 @@ def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:
         logits.accumulate_grad(out.grad * p / n)
 
     return _record(out, (logits,), back)
-
-
-def reductions_and_losses(kind: str, *args) -> Tensor:
-    table = {"sum": tsum, "mean": tmean, "mse": mse, "softmax_cross_entropy": softmax_cross_entropy}
-    if kind not in table:
-        raise ValueError(f"unknown reduction kind {kind!r}")
-    return table[kind](*args)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

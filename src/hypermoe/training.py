@@ -101,32 +101,47 @@ def combined_loss(result: ForwardResult, targets, task: SyntheticTask, cfg: Mode
     return base, base.item(), mean_aux
 
 
+def make_optimizer(model: Model) -> Adam:
+    """Adam with the configured learning rate, warm-up and cosine schedule."""
+    cfg = model.cfg
+    warmup = int(cfg.warmup_frac * cfg.steps)
+    return Adam(model.params, lr=cfg.learning_rate, warmup_steps=warmup, total_steps=cfg.steps)
+
+
+def train_step(model: Model, opt: Adam, inputs, targets, noise_rng: Rng) -> tuple[ForwardResult, float, float, float]:
+    """One optimizer step on one batch; returns (result, total, task, aux) losses.
+
+    Raises DivergenceError, naming the optimizer's step count, on a
+    non-finite loss, before any gradient is applied.
+    """
+    with Tape():
+        result = model.forward(inputs, training=True, noise_rng=noise_rng)
+        total, task_l, aux_l = combined_loss(result, targets, model.task, model.cfg)
+        if not np.isfinite(total.item()):
+            raise DivergenceError(opt.t)
+        total.backward()
+    opt.step()
+    model.zero_grads()
+    return result, total.item(), task_l, aux_l
+
+
 def train_model(model: Model, metrics_path: str | None = None) -> list[dict]:
     """Run the configured number of steps; returns one metrics row per step."""
     cfg = model.cfg
-    task = model.task
     data_rng = Rng(cfg.seed).spawn("data")
     noise_rng = Rng(cfg.seed).spawn("noise")
-    warmup = int(cfg.warmup_frac * cfg.steps)
-    opt = Adam(model.params, lr=cfg.learning_rate, warmup_steps=warmup, total_steps=cfg.steps)
+    opt = make_optimizer(model)
     rows: list[dict] = []
     for step in range(cfg.steps):
-        inputs, targets = generate_task_batch(task, data_rng, cfg.batch_size)
-        with Tape():
-            result = model.forward(inputs, training=True, noise_rng=noise_rng)
-            total, task_l, aux_l = combined_loss(result, targets, task, cfg)
-            if not np.isfinite(total.item()):
-                raise DivergenceError(step)
-            total.backward()
-        opt.step()
-        model.zero_grads()
+        inputs, targets = generate_task_batch(model.task, data_rng, cfg.batch_size)
+        result, total_l, task_l, aux_l = train_step(model, opt, inputs, targets, noise_rng)
         hist = utilization_histogram(result, cfg.n_experts)
         rows.append(
             {
                 "step": step,
                 "task_loss": task_l,
                 "aux_loss": aux_l,
-                "total_loss": total.item(),
+                "total_loss": total_l,
                 "util_entropy": utilization_entropy(hist),
             }
         )

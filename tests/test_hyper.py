@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypermoe import tensor as T
 from hypermoe.config import ModelConfig
@@ -11,6 +13,7 @@ from hypermoe.hyper import (
     HyperNetParams,
     Projector,
     SelectionMlp,
+    _batched_hyperexpert,
     combine_embeddings,
     generate_hyperexpert,
     hyperexpert_forward,
@@ -186,6 +189,70 @@ class TestHyperexpertForward:
         gen = GeneratedExpert(Tensor([[1.0], [1.0]]), Tensor([[1.0, 0.0]]))
         out = hyperexpert_forward(Tensor([[1.0, 1.0]]), gen)
         assert out.data.tolist() == [[2.0, 0.0]]
+
+
+@st.composite
+def hyperexpert_dims(draw):
+    h = draw(st.integers(2, 6))
+    return draw(st.integers(1, 6)), h, draw(st.integers(1, h - 1)), draw(st.integers(1, 5))
+
+
+class TestBatchedHyperexpert:
+    @given(dims=hyperexpert_dims(), seed=st.integers(0, 2**16))
+    def test_matches_per_token_oracle(self, dims, seed):
+        n_tokens, h, b, tk = dims
+        rng = Rng(seed)
+        x = Tensor(rng.gaussian(n_tokens, h), requires_grad=True)
+        k_all = Tensor(rng.gaussian(n_tokens, tk), requires_grad=True)
+        hn = HyperNetParams(
+            Tensor(rng.gaussian(h * b, tk, std=0.3), requires_grad=True),
+            Tensor(rng.gaussian(b * h, tk, std=0.3), requires_grad=True),
+            h,
+            b,
+        )
+        leaves = (x, k_all, hn.w_down, hn.w_up)
+        weights = Tensor(rng.gaussian(n_tokens, h))
+
+        with Tape():
+            out = _batched_hyperexpert(x, k_all, hn)
+            T.tsum(out * weights).backward()
+        fast = [out.data] + [t.grad for t in leaves]
+        for t in leaves:
+            t.zero_grad()
+
+        with Tape():
+            rows = [
+                hyperexpert_forward(
+                    T.slice_view(x, (slice(i, i + 1),)),
+                    generate_hyperexpert(T.slice_view(k_all, (slice(i, i + 1),)), hn),
+                )
+                for i in range(n_tokens)
+            ]
+            oracle_out = T.concat(rows, axis=0)
+            T.tsum(oracle_out * weights).backward()
+        oracle = [oracle_out.data] + [t.grad for t in leaves]
+
+        for name, got, want in zip(("out", "x", "k_all", "w_down", "w_up"), fast, oracle):
+            assert got.shape == want.shape, name
+            assert np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0) < 1e-12, name
+
+    def test_builds_no_per_token_weights(self):
+        # every node of the layer's graph stays below T*h*b elements, the
+        # size of the per-token D (T, h, b) and U (T, b, h) stacks
+        n_tokens, h, b, tk = 32, 8, 4, 3
+        x, bank, gate, hyper = setup_layer(t_tokens=n_tokens, h=h, n=3, d_ff=16, tk=tk, b=b)
+        with Tape():
+            out = hypermoe_forward(x, bank, noisy_topk_gate(x, gate), hyper, 0)
+        seen, stack, largest = set(), [out], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            largest = max(largest, node.size)
+            stack.extend(node._parents)
+        assert len(seen) > 20
+        assert largest < n_tokens * h * b, largest
 
 
 def setup_layer(seed=0, t_tokens=5, h=4, n=3, k=1, d_ff=6, n_layers=2, t=3, tp=3, tk=3, b=2, **hkw):

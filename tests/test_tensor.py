@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypermoe import tensor as T
 from hypermoe.errors import ContractError, DimensionError, TargetError
@@ -50,7 +52,7 @@ class TestMatmul:
 
 class TestElementwise:
     def test_relu(self):
-        out = T.elementwise("relu", Tensor([-1.0, 0.0, 2.0]))
+        out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         assert out.data.tolist() == [0.0, 0.0, 2.0]
 
     def test_relu_subgradient_zero_at_zero(self):
@@ -59,7 +61,7 @@ class TestElementwise:
         assert x.grad.tolist() == [0.0, 0.0, 1.0]
 
     def test_softplus_at_zero(self):
-        out = T.elementwise("softplus", Tensor([0.0]))
+        out = T.softplus(Tensor([0.0]))
         assert abs(out.data[0] - math.log(2.0)) < 1e-9
 
     def test_softplus_stable_at_large_inputs(self):
@@ -68,7 +70,7 @@ class TestElementwise:
         assert abs(out.data[0] - 1000.0) < 1e-9
 
     def test_add(self):
-        out = T.elementwise("add", Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
+        out = T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         assert out.data.tolist() == [4.0, 6.0]
 
     def test_add_shape_mismatch(self):
@@ -108,10 +110,10 @@ class TestSoftmax:
 
 class TestReductionsLosses:
     def test_mse_zero(self):
-        assert T.reductions_and_losses("mse", Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
+        assert T.mse(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
 
     def test_mean(self):
-        assert T.reductions_and_losses("mean", Tensor([2.0, 4.0])).item() == 3.0
+        assert T.tmean(Tensor([2.0, 4.0])).item() == 3.0
 
     def test_cross_entropy_uniform(self):
         loss = T.softmax_cross_entropy(Tensor([[0.0, 0.0]]), np.array([0]))
@@ -134,6 +136,26 @@ class TestBackward:
         loss = T.mse(w * Tensor([2.0]), Tensor([0.0]))
         loss.backward()
         assert np.allclose(w.grad, [8.0])
+
+    def test_first_gradient_is_not_aliased(self):
+        # add hands the same out.grad array to both leaves as their first
+        # gradient; the products recorded before it accumulate into each
+        # leaf afterwards, which must not write through to the other
+        rng = Rng(13)
+        c, d, e = (Tensor(rng.gaussian(2, 3)) for _ in range(3))
+
+        def loss(a, b):
+            u, v = a * d, b * e
+            return T.tsum((a + b) * c) + T.tsum(u * u) + T.tsum(v)
+
+        a = Tensor(rng.gaussian(2, 3), requires_grad=True)
+        b = Tensor(rng.gaussian(2, 3), requires_grad=True)
+        with Tape():
+            loss(a, b).backward()
+        fd_a = finite_diff_grad(lambda t: loss(t, Tensor(b.data)), Tensor(a.data))
+        fd_b = finite_diff_grad(lambda t: loss(Tensor(a.data), t), Tensor(b.data))
+        assert np.max(np.abs(a.grad - fd_a)) < 1e-6
+        assert np.max(np.abs(b.grad - fd_b)) < 1e-6
 
     def test_non_scalar_rejected(self):
         with pytest.raises(ContractError):
@@ -181,6 +203,58 @@ def test_gradients_match_finite_differences(name, seed):
         f(x, c).backward()
     fd = finite_diff_grad(lambda t: f(t, c), Tensor(x.data))
     assert np.max(np.abs(x.grad - fd)) / max(np.max(np.abs(fd)), 1e-6) < 1e-4
+
+
+def _matmul_grads_match_finite_differences(a: Tensor, b: Tensor) -> None:
+    """Gradients of sum((a @ b)^2) for both operands against central differences."""
+
+    def f(at, bt):
+        out = at @ bt
+        return T.tsum(out * out)
+
+    with Tape():
+        f(a, b).backward()
+    fd_a = finite_diff_grad(lambda t: f(t, Tensor(b.data)), Tensor(a.data))
+    fd_b = finite_diff_grad(lambda t: f(Tensor(a.data), t), Tensor(b.data))
+    for analytic, fd in ((a.grad, fd_a), (b.grad, fd_b)):
+        assert analytic.shape == fd.shape
+        assert np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1.0) < 1e-7
+
+
+dims = st.integers(1, 4)
+
+
+class TestMatmulProperties:
+    @given(m=dims, k=dims, n=dims, seed=st.integers(0, 2**16))
+    def test_2d_at_2d(self, m, k, n, seed):
+        rng = Rng(seed)
+        a = Tensor(rng.gaussian(m, k), requires_grad=True)
+        b = Tensor(rng.gaussian(k, n), requires_grad=True)
+        _matmul_grads_match_finite_differences(a, b)
+
+    @given(batch=st.lists(dims, min_size=1, max_size=2), m=dims, k=dims, n=dims, seed=st.integers(0, 2**16))
+    def test_nd_at_2d(self, batch, m, k, n, seed):
+        rng = Rng(seed)
+        a = Tensor(rng.gaussian(*batch, m, k), requires_grad=True)
+        w = Tensor(rng.gaussian(k, n), requires_grad=True)
+        assert np.allclose((a @ w).data, np.matmul(a.data, w.data), rtol=0, atol=1e-12)
+        _matmul_grads_match_finite_differences(a, w)
+
+    @given(batch=dims, m=dims, k=dims, n=dims, seed=st.integers(0, 2**16))
+    def test_non_contiguous_3d_at_2d(self, batch, m, k, n, seed):
+        # a transposed view reaches the flat path with non-contiguous data
+        rng = Rng(seed)
+        a = T.transpose_last2(Tensor(rng.gaussian(batch, k, m), requires_grad=True))
+        w = Tensor(rng.gaussian(k, n), requires_grad=True)
+        assert not a.data.flags.c_contiguous or min(m, k) == 1
+        _matmul_grads_match_finite_differences(a, w)
+
+    @given(batch=dims, m=dims, k=dims, n=dims, seed=st.integers(0, 2**16))
+    def test_3d_at_3d(self, batch, m, k, n, seed):
+        rng = Rng(seed)
+        a = Tensor(rng.gaussian(batch, m, k), requires_grad=True)
+        b = Tensor(rng.gaussian(batch, k, n), requires_grad=True)
+        _matmul_grads_match_finite_differences(a, b)
 
 
 class TestFiniteDiff:
