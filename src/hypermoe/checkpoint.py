@@ -47,28 +47,41 @@ def save_checkpoint(model: Model, path: str, step: int = 0) -> None:
         f.write(bytes(payload))
 
 
-def read_manifest(path: str) -> dict:
+REQUIRED_KEYS = ("step", "config", "params", "sha256")
+
+
+def _read(path: str) -> tuple[dict, memoryview]:
+    """Read a checkpoint file once; return its manifest and a view of its payload."""
     with open(path, "rb") as f:
-        head = f.read(len(MAGIC) + 8)
-        if len(head) < len(MAGIC) + 8 or head[: len(MAGIC)] != MAGIC:
-            raise IntegrityError(f"{path}: not a checkpoint file")
-        (blob_len,) = struct.unpack("<Q", head[len(MAGIC):])
-        blob = f.read(blob_len)
-        if len(blob) != blob_len:
-            raise IntegrityError(f"{path}: truncated manifest")
-        try:
-            return json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise IntegrityError(f"{path}: corrupt manifest: {e}") from e
+        data = memoryview(f.read())
+    head = len(MAGIC) + 8
+    if len(data) < head or data[: len(MAGIC)] != MAGIC:
+        raise IntegrityError(f"{path}: not a checkpoint file")
+    (blob_len,) = struct.unpack("<Q", data[len(MAGIC) : head])
+    blob = data[head : head + blob_len]
+    if len(blob) != blob_len:
+        raise IntegrityError(f"{path}: truncated manifest")
+    try:
+        manifest = json.loads(str(blob, "utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise IntegrityError(f"{path}: corrupt manifest: {e}") from e
+    return manifest, data[head + blob_len :]
+
+
+def read_manifest(path: str) -> dict:
+    return _read(path)[0]
 
 
 def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> tuple[Model, int]:
-    """Rebuild the model; parameters are bit-exact copies of the saved ones."""
-    manifest = read_manifest(path)
-    with open(path, "rb") as f:
-        blob_len = struct.unpack("<Q", f.read(len(MAGIC) + 8)[len(MAGIC):])[0]
-        f.seek(len(MAGIC) + 8 + blob_len)
-        payload = f.read()
+    """Rebuild the model; parameters are bit-exact copies of the saved ones.
+
+    Every parameter of the model must be in the checkpoint, with the model's
+    shape, and the checkpoint may name no other; otherwise no model is returned.
+    """
+    manifest, payload = _read(path)
+    missing = [key for key in REQUIRED_KEYS if key not in manifest] if isinstance(manifest, dict) else REQUIRED_KEYS
+    if missing:
+        raise IntegrityError(f"{path}: manifest lacks {', '.join(missing)}")
     if hashlib.sha256(payload).hexdigest() != manifest["sha256"]:
         raise IntegrityError(f"{path}: payload checksum mismatch (truncated or corrupt)")
 
@@ -82,12 +95,22 @@ def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> tupl
                     f"checkpoint config mismatch on {key!r}: saved {saved[key]}, requested {given[key]}"
                 )
     model = build_model(cfg)
+    loaded = set()
     for entry in manifest["params"]:
-        name = entry["name"]
+        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
         if name not in model.params:
             raise IntegrityError(f"{path}: manifest names unknown parameter {name!r}")
-        raw = payload[entry["offset"] : entry["offset"] + entry["count"] * 8]
-        if len(raw) != entry["count"] * 8:
+        param = model.params[name]
+        if shape != param.shape:
+            raise IntegrityError(
+                f"{path}: parameter {name!r} has shape {list(shape)}, the model needs {list(param.shape)}"
+            )
+        raw = payload[offset : offset + param.size * 8]
+        if len(raw) != param.size * 8:
             raise IntegrityError(f"{path}: payload truncated at parameter {name!r}")
-        model.params[name].data = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
+        param.data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        loaded.add(name)
+    absent = sorted(set(model.params) - loaded)
+    if absent:
+        raise IntegrityError(f"{path}: checkpoint lacks parameter(s) {', '.join(absent)}")
     return model, manifest["step"]

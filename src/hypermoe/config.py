@@ -1,8 +1,8 @@
-"""Model/training configuration and its JSON schema."""
+"""Model/training configuration and the type and range of each field."""
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigurationError
@@ -10,6 +10,44 @@ from .errors import ConfigurationError
 LAYER_KINDS = ("dense", "moe", "moe_share", "hypermoe")
 CONDITION_ON = ("selected", "unselected")
 EMBEDDING_SOURCES = ("learned", "compressed")
+TASKS = ("grouped_modular_addition", "piecewise_regression")
+
+
+def _integer(low: int):
+    return lambda v: type(v) is int and v >= low, f"an integer >= {low}"
+
+
+def _number(ok, text: str):
+    return lambda v: type(v) in (int, float) and math.isfinite(v) and ok(v), text
+
+
+def _one_of(options: tuple):
+    return lambda v: v in options, f"one of {options}"
+
+
+# field -> (check, what the check requires). OPTIONAL fields may also be None,
+# which derives their value from other fields; __post_init__ checks combinations.
+FIELD_RULES = {
+    **dict.fromkeys(
+        ("h", "d_ff", "n_experts", "top_k", "n_layers", "t", "t_prime", "t_k", "b", "operand_range",
+         "train_size", "eval_size", "steps", "batch_size"),
+        _integer(1),
+    ),
+    "seed": _integer(0),
+    **dict.fromkeys(("noise_enabled", "renormalize_gate"), (lambda v: type(v) is bool, "true or false")),
+    "layer_kind": _one_of(LAYER_KINDS),
+    "condition_on": _one_of(CONDITION_ON),
+    "embedding_source": _one_of(EMBEDDING_SOURCES),
+    "task": _one_of(TASKS),
+    "moduli": (
+        lambda v: type(v) in (list, tuple) and v and all(type(m) is int and m >= 2 for m in v),
+        "a nonempty list of integers >= 2",
+    ),
+    "aux_loss_coef": _number(lambda v: v >= 0, "a number >= 0"),
+    "learning_rate": _number(lambda v: v > 0, "a number > 0"),
+    "warmup_frac": _number(lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+}
+OPTIONAL = ("d_ff", "b", "operand_range")
 
 
 @dataclass
@@ -45,21 +83,14 @@ class ModelConfig:
     warmup_frac: float = 0.1
 
     def __post_init__(self) -> None:
+        for name, (ok, requirement) in FIELD_RULES.items():
+            value = getattr(self, name)
+            if not (value is None and name in OPTIONAL or ok(value)):
+                raise ConfigurationError(f"{name} must be {requirement}, got {value!r}")
         if self.d_ff is None:
             self.d_ff = 4 * self.h
         if self.b is None:
             self.b = max(1, self.h // 4)
-        for name in ("h", "d_ff", "n_experts", "top_k", "n_layers", "t", "t_prime", "t_k", "b"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be a positive integer")
-        if self.layer_kind not in LAYER_KINDS:
-            raise ConfigurationError(f"layer_kind must be one of {LAYER_KINDS}, got {self.layer_kind!r}")
-        if self.condition_on not in CONDITION_ON:
-            raise ConfigurationError(f"condition_on must be one of {CONDITION_ON}, got {self.condition_on!r}")
-        if self.embedding_source not in EMBEDDING_SOURCES:
-            raise ConfigurationError(
-                f"embedding_source must be one of {EMBEDDING_SOURCES}, got {self.embedding_source!r}"
-            )
         if self.top_k > self.n_experts:
             raise ConfigurationError(f"top_k={self.top_k} exceeds n_experts={self.n_experts}")
         if self.layer_kind == "hypermoe" and self.top_k >= self.n_experts:
@@ -68,8 +99,6 @@ class ModelConfig:
             )
         if self.b >= self.h:
             raise ConfigurationError(f"bottleneck b={self.b} must be smaller than h={self.h}")
-        if self.aux_loss_coef < 0:
-            raise ConfigurationError("aux_loss_coef must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -81,8 +110,3 @@ class ModelConfig:
         if unknown:
             raise ConfigurationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         return cls(**d)
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "ModelConfig":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))

@@ -3,6 +3,12 @@
 Noisy top-k gating over N expert FFNs, sparse combination of the selected
 experts' outputs, the load-balancing auxiliary loss, and the MoE-Share
 baseline (routed experts plus one always-on shared MLP).
+
+Dispatch is slot-ordered: each token's K routing decisions are T*K flat
+slots. An expert gathers the tokens of its slots and runs once on them, and
+one combine node writes every expert's rows into a (T*K, h) slot buffer and
+returns the gate-weighted sum over each token's K slots. No per-expert
+(T, h) buffer is scattered into or added.
 """
 
 from __future__ import annotations
@@ -131,27 +137,20 @@ def expert_forward(x: Tensor, expert: tuple[Tensor, Tensor]) -> Tensor:
 def moe_forward(x: Tensor, bank: ExpertBank, decision: GateDecision) -> Tensor:
     """Combine selected experts per token: y_i = sum_k gate_ik * E_sel(x_i).
 
-    Only experts that were actually selected for at least one token are
-    evaluated.
+    Slot s is token s // K. Experts that no slot selects are not evaluated.
     """
     if decision.num_experts != bank.num_experts:
         raise ConfigurationError(
             f"decision has {decision.num_experts} experts, bank has {bank.num_experts}"
         )
-    n_tokens = decision.num_tokens
-    out = None
+    k = decision.top_k
+    parts, slots = [], []
     for e in range(bank.num_experts):
-        token_ids, k_cols = np.nonzero(decision.selected == e)
-        if token_ids.size == 0:
-            continue
-        xs = T.gather_rows(x, token_ids)
-        ys = expert_forward(xs, (bank.w1[e], bank.w2[e]))
-        gv = T.gather_scalars(decision.gate_values, token_ids, k_cols)
-        term = T.scatter_rows(ys * gv, token_ids, n_tokens)
-        out = term if out is None else out + term
-    if out is None:  # unreachable with a valid decision; keep the contract total
-        out = Tensor(np.zeros((n_tokens, x.shape[-1])))
-    return out
+        s = np.flatnonzero(decision.selected == e)
+        if s.size:
+            parts.append(expert_forward(T.gather_rows(x, s // k), (bank.w1[e], bank.w2[e])))
+            slots.append(s)
+    return T.combine_slots(parts, slots, decision.gate_values)
 
 
 def moe_share_forward(

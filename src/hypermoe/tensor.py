@@ -28,9 +28,6 @@ class Tape:
     def __init__(self) -> None:
         self.records: list["Tensor"] = []
 
-    def reset(self) -> None:
-        self.records.clear()
-
     def __enter__(self) -> "Tape":
         _TLS.stack.append(self)
         return self
@@ -84,6 +81,12 @@ class Tensor:
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
+
+    def accumulate_at(self, key, g: Array) -> None:
+        """Add ``g`` into ``grad[key]``; repeated indices in ``key`` add up."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        np.add.at(self.grad, key, g)
 
     def backward(self) -> None:
         backward(self)
@@ -295,9 +298,7 @@ def slice_view(x: Tensor, key: tuple) -> Tensor:
     out = Tensor(x.data[key].copy())
 
     def back() -> None:
-        g = np.zeros_like(x.data)
-        g[key] += out.grad
-        x.accumulate_grad(g)
+        x.accumulate_at(key, out.grad)
 
     return _record(out, (x,), back)
 
@@ -328,7 +329,7 @@ def reciprocal(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter
+# gather / combine
 
 
 def gather_rows(table: Tensor, ids: Array) -> Tensor:
@@ -337,9 +338,7 @@ def gather_rows(table: Tensor, ids: Array) -> Tensor:
     out = Tensor(table.data[ids])
 
     def back() -> None:
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, table.shape[-1]))
-        table.accumulate_grad(g)
+        table.accumulate_at(ids.reshape(-1), out.grad.reshape(-1, table.shape[-1]))
 
     return _record(out, (table,), back)
 
@@ -351,38 +350,34 @@ def take_per_row(x: Tensor, idx: Array) -> Tensor:
     out = Tensor(x.data[rows, idx])
 
     def back() -> None:
-        g = np.zeros_like(x.data)
-        np.add.at(g, (rows, idx), out.grad)
-        x.accumulate_grad(g)
+        x.accumulate_at((rows, idx), out.grad)
 
     return _record(out, (x,), back)
 
 
-def gather_scalars(x: Tensor, rows: Array, cols: Array) -> Tensor:
-    """Pick entries x[rows[j], cols[j]] into a (n, 1) column."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = Tensor(x.data[rows, cols][:, None])
+def combine_slots(parts: Sequence[Tensor], slots: Sequence[Array], gates: Tensor) -> Tensor:
+    """Gate-weighted sum of each token's K slot rows: out[t] = sum_k gates[t, k] * Y[t*K + k].
+
+    ``gates`` is (T, K). ``parts[j]`` holds the rows Y[slots[j]]; the flat slot
+    ids of all parts together must cover 0 .. T*K-1 exactly once.
+    """
+    n, k = gates.shape
+    y = np.empty((n * k, parts[0].shape[-1]))
+    for p, s in zip(parts, slots):
+        y[s] = p.data
+    y = y.reshape(n, k, -1)
+    out = Tensor(np.matmul(gates.data[:, None, :], y)[:, 0])
 
     def back() -> None:
-        g = np.zeros_like(x.data)
-        np.add.at(g, (rows, cols), out.grad[:, 0])
-        x.accumulate_grad(g)
+        g = out.grad
+        if gates.requires_grad or gates._parents:
+            gates.accumulate_grad(np.einsum("th,tkh->tk", g, y))
+        gy = (gates.data[:, :, None] * g[:, None, :]).reshape(n * k, -1)
+        for p, s in zip(parts, slots):
+            if p.requires_grad or p._parents:
+                p.accumulate_grad(gy[s])
 
-    return _record(out, (x,), back)
-
-
-def scatter_rows(rows: Tensor, ids: Array, total: int) -> Tensor:
-    """Place rows[j] at output row ids[j] of a (total, width) zero tensor."""
-    ids = np.asarray(ids, dtype=np.int64)
-    data = np.zeros((total, rows.shape[-1]))
-    np.add.at(data, ids, rows.data)
-    out = Tensor(data)
-
-    def back() -> None:
-        rows.accumulate_grad(out.grad[ids])
-
-    return _record(out, (rows,), back)
+    return _record(out, (*parts, gates), back)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import json
+import struct
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from hypermoe.checkpoint import load_checkpoint, read_manifest, save_checkpoint
-from hypermoe.config import ModelConfig
+from hypermoe.checkpoint import MAGIC, REQUIRED_KEYS, load_checkpoint, read_manifest, save_checkpoint
+from hypermoe.cli import EXIT_CONFIG, EXIT_INTEGRITY, main
+from hypermoe.config import FIELD_RULES, ModelConfig
 from hypermoe.errors import ConfigurationError, IntegrityError
 from hypermoe.hyper import param_count_report
 from hypermoe.model import build_model
@@ -31,6 +36,41 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return ModelConfig(**base)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("steps", 0),
+            ("batch_size", 0),
+            ("eval_size", 0),
+            ("train_size", 0),
+            ("learning_rate", -1),
+            ("learning_rate", float("nan")),
+            ("warmup_frac", 2.0),
+            ("moduli", []),
+            ("moduli", [3, "4"]),
+            ("top_k", 1.5),
+            ("h", "32"),
+            ("seed", -1),
+            ("noise_enabled", "yes"),
+            ("task", "sorting"),
+            ("operand_range", 0),
+        ],
+    )
+    def test_bad_field_is_named(self, name, value):
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be .*, got "):
+            tiny_cfg(**{name: value})
+
+    def test_every_field_has_a_rule(self):
+        assert set(FIELD_RULES) == {f.name for f in fields(ModelConfig)}
+
+    def test_wrong_type_from_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"h": "32"}))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "h must be" in capsys.readouterr().err
 
 
 class TestBuildContracts:
@@ -254,6 +294,59 @@ class TestCheckpoint:
         save_checkpoint(build_model(tiny_cfg(h=16)), path)
         with pytest.raises(ConfigurationError, match="'h'"):
             load_checkpoint(path, expect_config=tiny_cfg(h=32))
+
+
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to a saved checkpoint's manifest; the payload is kept."""
+    with open(path, "rb") as f:
+        data = f.read()
+    head = len(MAGIC) + 8
+    (blob_len,) = struct.unpack("<Q", data[len(MAGIC) : head])
+    manifest = json.loads(data[head : head + blob_len])
+    edit(manifest)
+    blob = json.dumps(manifest).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<Q", len(blob)) + blob + data[head + blob_len :])
+
+
+def entry(manifest, name):
+    return next(e for e in manifest["params"] if e["name"] == name)
+
+
+class TestCheckpointManifest:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(build_model(tiny_cfg()), path)
+        return path
+
+    def test_missing_parameter_rejected(self, path):
+        rewrite_manifest(path, lambda m: m["params"].remove(entry(m, "head.w")))
+        with pytest.raises(IntegrityError, match="head.w"):
+            load_checkpoint(path)
+
+    def test_unknown_parameter_rejected(self, path):
+        extra = {"name": "head.extra", "shape": [4], "offset": 0, "count": 4}
+        rewrite_manifest(path, lambda m: m["params"].append(extra))
+        with pytest.raises(IntegrityError, match="head.extra"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_rejected(self, path):
+        def reshape_bias(m):
+            e = entry(m, "head.b")
+            e["shape"] = [1] + e["shape"]
+
+        rewrite_manifest(path, reshape_bias)
+        with pytest.raises(IntegrityError, match="head.b"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", REQUIRED_KEYS)
+    def test_missing_key_exits_4(self, path, key, capsys):
+        rewrite_manifest(path, lambda m: m.pop(key))
+        with pytest.raises(IntegrityError, match=key):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", path]) == EXIT_INTEGRITY
+        assert key in capsys.readouterr().err
 
 
 class TestBatchGeneration:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypermoe import tensor as T
 from hypermoe.errors import ConfigurationError
@@ -158,12 +160,19 @@ class TestMoeForward:
         assert np.max(np.abs(out.data - dense)) < 1e-12
 
     def test_unselected_experts_never_evaluated(self):
-        # poison expert 1 with NaN; it is never selected, so output stays finite
+        # poison expert 1 with NaN; it is never selected, so output and every
+        # gradient stay finite, and its weights get no gradient at all: a zero
+        # one would still move their Adam moments
         bank = make_bank(4, 6, 2)
         bank.w1[1].data[:] = np.nan
         dec = decision_from_probs(np.full((3, 2), 0.5), [[0], [0], [0]])
-        out = moe_forward(Tensor(Rng(4).gaussian(3, 4)), bank, dec)
+        x = Tensor(Rng(4).gaussian(3, 4), requires_grad=True)
+        with Tape():
+            out = moe_forward(x, bank, dec)
+            T.tsum(out * out).backward()
         assert np.all(np.isfinite(out.data))
+        assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(bank.w1[0].grad))
+        assert bank.w1[1].grad is None and bank.w2[1].grad is None
 
     def test_expert_count_mismatch(self):
         bank = make_bank(4, 6, 2)
@@ -184,6 +193,74 @@ class TestMoeForward:
         selected_experts = set(dec.selected[:, 0].tolist())
         for e in selected_experts:
             assert np.any(bank.w1[e].grad != 0)
+
+
+def per_expert_moe(x, bank, decision):
+    """The per-expert dispatch moe_forward replaced, kept as its reference.
+
+    Each selected expert gathers its tokens, weights its outputs by their gate
+    values and scatters them into a (T, h) term; the terms are added in expert
+    order. The scatter is a product with a 0/1 placement matrix.
+    """
+    n_tokens, k = decision.selected.shape
+    flat_gates = T.reshape(decision.gate_values, (-1, 1))
+    out = None
+    for e in range(bank.num_experts):
+        token_ids, k_cols = np.nonzero(decision.selected == e)
+        if token_ids.size == 0:
+            continue
+        ys = expert_forward(T.gather_rows(x, token_ids), (bank.w1[e], bank.w2[e]))
+        gv = T.gather_rows(flat_gates, token_ids * k + k_cols)
+        place = np.zeros((n_tokens, token_ids.size))
+        place[token_ids, np.arange(token_ids.size)] = 1.0
+        term = Tensor(place) @ (ys * gv)
+        out = term if out is None else out + term
+    return out
+
+
+@st.composite
+def routing_cases(draw):
+    n_tokens = draw(st.integers(1, 8))
+    h, d_ff = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    # tokens route only among `used` experts, so the others get no slot
+    used = draw(st.integers(k, n))
+    return n_tokens, h, d_ff, n, k, used
+
+
+class TestGroupedDispatch:
+    @given(case=routing_cases(), seed=st.integers(0, 2**16))
+    def test_matches_per_expert_dispatch(self, case, seed):
+        n_tokens, h, d_ff, n, k, used = case
+        rng = Rng(seed)
+        bank = make_bank(h, d_ff, n, seed=seed + 1)
+        x = Tensor(rng.gaussian(n_tokens, h), requires_grad=True)
+        pool = np.argsort(rng.uniform(n))[:used]
+        selected = np.stack([pool[np.argsort(rng.uniform(used))[:k]] for _ in range(n_tokens)])
+        mask = np.zeros((n_tokens, n))
+        np.put_along_axis(mask, selected, 1.0, axis=1)
+        gates = Tensor(rng.uniform(n_tokens, k), requires_grad=True)
+        dec = GateDecision(Tensor(np.full((n_tokens, n), 1.0 / n)), selected, gates, mask)
+        leaves = [x, gates] + bank.w1 + bank.w2
+        weights = Tensor(rng.gaussian(n_tokens, h))
+
+        results = []
+        for forward in (moe_forward, per_expert_moe):
+            for t in leaves:
+                t.zero_grad()
+            with Tape():
+                out = forward(x, bank, dec)
+                T.tsum(out * weights).backward()
+            results.append([out.data] + [t.grad for t in leaves])
+
+        for i, (got, want) in enumerate(zip(*results)):
+            if want is None:
+                assert got is None, i
+                continue
+            assert got.shape == want.shape, i
+            assert np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0) < 1e-12, i
+        assert sum(t.grad is None for t in bank.w1) == n - len(np.unique(selected))
 
 
 class TestLoadBalanceLoss:
