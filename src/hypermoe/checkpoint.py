@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -37,14 +38,22 @@ def save_checkpoint(model: Model, path: str, step: int = 0) -> None:
         "step": step,
         "config": model.cfg.to_dict(),
         "params": entries,
-        "sha256": hashlib.sha256(bytes(payload)).hexdigest(),
+        "sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(manifest).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(bytes(payload))
+    # write beside the target, then rename: a reader never sees a partial file
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 REQUIRED_KEYS = ("step", "config", "params", "sha256")

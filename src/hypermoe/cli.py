@@ -31,16 +31,22 @@ EXIT_RUNTIME = 3
 EXIT_INTEGRITY = 4
 
 
-def _load_config(path: str, seed: int | None = None, **overrides) -> ModelConfig:
+def _read_config_json(path: str) -> dict:
+    """The raw config dict of a JSON file; an unreadable or malformed file is a config error."""
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigurationError(f"{path}: {e}") from e
-    if seed is not None:
-        raw["seed"] = seed
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{path}: a config must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def _load_config(path: str, **overrides) -> ModelConfig:
+    raw = _read_config_json(path)
     raw.update({k: v for k, v in overrides.items() if v is not None})
     return ModelConfig.from_dict(raw)
 
@@ -226,11 +232,7 @@ def run_compare(cfg_base: dict, methods: list[str], seeds: list[int]) -> list[di
 
 
 def cmd_compare(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigurationError(f"{args.config}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    raw = _read_config_json(args.config)
     methods = args.methods.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
     if not methods or not seeds:

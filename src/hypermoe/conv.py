@@ -4,15 +4,20 @@ Each expert's (W1, W2) pair is stacked into a 2-channel image and pushed
 through a chain of depthwise convolutions, pointwise convolutions, and
 average pooling down to a 1x1 spatial extent, yielding one embedding row per
 expert. Convolutions are unpadded; output extents use floor division.
+
+The pipeline is frozen and takes no gradient, so it runs in plain numpy,
+outside the autodiff graph: all experts of a layer go through the chain as
+one batch. The model recomputes the embeddings on every forward pass from
+the current expert weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import tensor as T
 from .errors import ConfigurationError, DimensionError
 from .moe import ExpertBank
 from .tensor import Rng, Tensor
@@ -38,34 +43,11 @@ class Stage:
     def avg_pool(cls, ph: int, pw: int, sh: int | None = None, sw: int | None = None) -> "Stage":
         return cls("avg_pool", (ph, pw), (sh or ph, sw or pw))
 
-    def to_dict(self) -> dict:
-        if self.kind == "pointwise":
-            return {"type": "pointwise", "in_channels": self.in_channels, "out_channels": self.out_channels}
-        return {"type": self.kind, "kernel": list(self.kernel), "stride": list(self.stride)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Stage":
-        kind = d.get("type")
-        if kind == "pointwise":
-            return cls.pointwise(d["in_channels"], d["out_channels"])
-        if kind in ("depthwise", "avg_pool"):
-            kh, kw = d["kernel"]
-            sh, sw = d.get("stride", d["kernel"])
-            return cls(kind, (kh, kw), (sh, sw))
-        raise ConfigurationError(f"unknown conv stage type {kind!r}")
-
 
 @dataclass
 class ConvPipelineSpec:
     stages: list[Stage]
     out_dim: int
-
-    def to_dict(self) -> dict:
-        return {"stages": [s.to_dict() for s in self.stages], "out_dim": self.out_dim}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConvPipelineSpec":
-        return cls([Stage.from_dict(s) for s in d["stages"]], d["out_dim"])
 
 
 def stage_output_shape(stage: Stage, shape: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -119,86 +101,53 @@ def default_pipeline_spec(d_ff: int, h: int, out_dim: int) -> ConvPipelineSpec:
 
 
 class ConvPipeline:
-    """A spec plus its (frozen, randomly initialized) stage weights."""
+    """A spec plus its frozen, randomly initialized stage weights."""
 
     def __init__(self, spec: ConvPipelineSpec, in_shape: tuple[int, int, int], rng: Rng) -> None:
         self.spec = spec
         self.shapes = shape_chain(spec, in_shape)
-        self.weights: list[Tensor | None] = []
+        self.weights: list[np.ndarray | None] = []
         for stage, shape in zip(spec.stages, self.shapes):
             c = shape[0]
             if stage.kind == "depthwise":
                 kh, kw = stage.kernel
-                self.weights.append(Tensor(rng.gaussian(c, kh, kw, std=1.0 / (kh * kw))))
+                self.weights.append(rng.gaussian(c, kh, kw, std=1.0 / (kh * kw)))
             elif stage.kind == "pointwise":
-                self.weights.append(
-                    Tensor(rng.gaussian(stage.in_channels, stage.out_channels, std=1.0 / np.sqrt(c)))
-                )
+                self.weights.append(rng.gaussian(stage.in_channels, stage.out_channels, std=1.0 / np.sqrt(c)))
             else:
                 self.weights.append(None)
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape != self.shapes[0]:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the chain on images of shape (..., c, h, w); leading axes are a batch."""
+        if x.shape[-3:] != self.shapes[0]:
             raise DimensionError(f"pipeline built for input {self.shapes[0]}, got {x.shape}")
         for stage, w in zip(self.spec.stages, self.weights):
             x = conv_stage_forward(x, stage, w)
         return x
 
 
-def conv_stage_forward(x: Tensor, stage: Stage, weight: Tensor | None = None) -> Tensor:
-    out_shape = stage_output_shape(stage, x.shape)  # validates shapes
+def conv_stage_forward(x: np.ndarray, stage: Stage, weight: np.ndarray | None = None) -> np.ndarray:
+    """One stage on images of shape (..., c, h, w); leading axes are a batch."""
+    stage_output_shape(stage, x.shape[-3:])  # validates shapes
+    if stage.kind not in ("depthwise", "pointwise", "avg_pool"):
+        raise ConfigurationError(f"unknown stage kind {stage.kind!r}")
+    if weight is None and stage.kind != "avg_pool":
+        raise ConfigurationError(f"{stage.kind} stage requires a weight")
     if stage.kind == "pointwise":
-        if weight is None:
-            raise ConfigurationError("pointwise stage requires a weight")
-        c, h, w = x.shape
-        flat = T.reshape(x, (c, h * w))
-        return T.reshape(T.transpose_last2(weight) @ flat, out_shape)
-    if stage.kind == "depthwise":
-        if weight is None:
-            raise ConfigurationError("depthwise stage requires a kernel")
-        return _window_accumulate(x, stage, out_shape, weight)
-    if stage.kind == "avg_pool":
-        ph, pw = stage.kernel
-        return _window_accumulate(x, stage, out_shape) * (1.0 / (ph * pw))
-    raise ConfigurationError(f"unknown stage kind {stage.kind!r}")
-
-
-def _window_accumulate(
-    x: Tensor, stage: Stage, out_shape: tuple[int, int, int], kernel: Tensor | None = None
-) -> Tensor:
-    """Sum of (optionally kernel-weighted) strided slices over kernel offsets."""
-    kh, kw = stage.kernel
+        return np.einsum("...chw,co->...ohw", x, weight)
     sh, sw = stage.stride
-    _, oh, ow = out_shape
-    acc = None
-    for u in range(kh):
-        for v in range(kw):
-            sl = T.slice_view(
-                x, (slice(None), slice(u, u + sh * (oh - 1) + 1, sh), slice(v, v + sw * (ow - 1) + 1, sw))
-            )
-            if kernel is not None:
-                kval = T.reshape(
-                    T.slice_view(kernel, (slice(None), slice(u, u + 1), slice(v, v + 1))),
-                    (x.shape[0], 1, 1),
-                )
-                sl = sl * kval
-            acc = sl if acc is None else acc + sl
-    return acc
+    windows = sliding_window_view(x, stage.kernel, axis=(-2, -1))[..., ::sh, ::sw, :, :]
+    if stage.kind == "avg_pool":
+        return windows.mean(axis=(-2, -1))
+    return np.einsum("...chwuv,cuv->...chw", windows, weight)
 
 
-def stack_expert_weights(w1: Tensor, w2: Tensor) -> Tensor:
-    """Stack one expert's pair as a 2-channel image: [W1^T; W2], each d_ff x h."""
-    d_ff, h = w2.shape
-    ch0 = T.reshape(T.transpose_last2(w1), (1, d_ff, h))
-    ch1 = T.reshape(w2, (1, d_ff, h))
-    return T.concat([ch0, ch1], axis=0)
+def stack_expert_weights(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Stack pairs as 2-channel images [W1^T; W2], each d_ff x h; leading axes are a batch."""
+    return np.stack([np.swapaxes(w1, -1, -2), w2], axis=-3)
 
 
 def compress_expert_weights(bank: ExpertBank, pipeline: ConvPipeline) -> Tensor:
-    """One embedding row per expert: stack, convolve, flatten the 1x1 result."""
-    rows = []
-    for w1, w2 in zip(bank.w1, bank.w2):
-        img = stack_expert_weights(w1, w2)
-        out = pipeline.forward(img)
-        rows.append(T.reshape(out, (1, pipeline.spec.out_dim)))
-    return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+    """One embedding row per expert: stack all pairs, convolve them as one batch, flatten."""
+    images = stack_expert_weights(np.stack([w.data for w in bank.w1]), np.stack([w.data for w in bank.w2]))
+    return Tensor(pipeline.forward(images).reshape(len(bank.w1), pipeline.spec.out_dim))

@@ -215,11 +215,7 @@ class Model:
 
     def _compressed_embeddings(self, layer_index: int) -> Tensor:
         """Per-layer expert embeddings from compressed expert weights, gradient-free."""
-        bank = self.blocks[layer_index]["bank"]
-        frozen = ExpertBank(
-            [Tensor(w.data) for w in bank.w1], [Tensor(w.data) for w in bank.w2]
-        )
-        return compress_expert_weights(frozen, self.conv_pipeline)
+        return compress_expert_weights(self.blocks[layer_index]["bank"], self.conv_pipeline)
 
     def forward(self, inputs, training: bool = False, noise_rng: Rng | None = None) -> ForwardResult:
         cfg = self.cfg

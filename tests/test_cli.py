@@ -256,3 +256,15 @@ class TestCompareCommand:
         train_model(model)
         direct = evaluate(model, cfg.eval_size)["accuracy"]
         assert rows == [{"method": "moe", "seed": 0, "metric": direct}]
+
+    @pytest.mark.parametrize(
+        "content", [None, '{"h": 16,\n  "oops"\n}', "[1, 2]"], ids=["missing", "malformed", "not_an_object"]
+    )
+    def test_unreadable_config_exit_2_names_path(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["compare", "--config", str(path), "--methods", "moe", "--seeds", "0"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert str(path) in err

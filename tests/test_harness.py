@@ -1,13 +1,19 @@
+import builtins
+import errno
 import json
+import os
 import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from hypermoe import checkpoint
 from hypermoe.checkpoint import MAGIC, REQUIRED_KEYS, load_checkpoint, read_manifest, save_checkpoint
 from hypermoe.cli import EXIT_CONFIG, EXIT_INTEGRITY, main
-from hypermoe.config import FIELD_RULES, ModelConfig
+from hypermoe.config import EMBEDDING_SOURCES, FIELD_RULES, LAYER_KINDS, TASKS, ModelConfig
 from hypermoe.errors import ConfigurationError, IntegrityError
 from hypermoe.hyper import param_count_report
 from hypermoe.model import build_model
@@ -242,6 +248,24 @@ class TestModelScaleZeroGenerator:
         assert np.array_equal(out_m, out_h)
 
 
+@st.composite
+def tiny_configs(draw):
+    """Small configs over every layer kind, task and (for hypermoe) embedding source."""
+    kind = draw(st.sampled_from(LAYER_KINDS))
+    n_experts = draw(st.integers(2, 3))
+    return tiny_cfg(
+        layer_kind=kind,
+        embedding_source=draw(st.sampled_from(EMBEDDING_SOURCES)) if kind == "hypermoe" else "learned",
+        task=draw(st.sampled_from(TASKS)),
+        h=draw(st.sampled_from([4, 8])),
+        d_ff=draw(st.sampled_from([4, 8])),
+        n_experts=n_experts,
+        top_k=draw(st.integers(1, n_experts - 1)),
+        n_layers=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         cfg = tiny_cfg(layer_kind="hypermoe")
@@ -294,6 +318,44 @@ class TestCheckpoint:
         save_checkpoint(build_model(tiny_cfg(h=16)), path)
         with pytest.raises(ConfigurationError, match="'h'"):
             load_checkpoint(path, expect_config=tiny_cfg(h=32))
+
+    def test_failed_save_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(build_model(tiny_cfg()), path)
+        before = open(path, "rb").read()
+
+        class FailsAfterFirstWrite:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.f.write(data)
+
+        monkeypatch.setattr(
+            checkpoint, "open", lambda *a, **k: FailsAfterFirstWrite(builtins.open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError):
+            save_checkpoint(build_model(tiny_cfg(seed=1)), path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["ck.bin"]
+
+    @given(cfg=tiny_configs())
+    def test_save_load_save_byte_identical(self, cfg, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("ckpt")
+        first, second = str(tmp / "a.bin"), str(tmp / "b.bin")
+        save_checkpoint(build_model(cfg), first, step=3)
+        loaded, step = load_checkpoint(first)
+        save_checkpoint(loaded, second, step=step)
+        assert open(first, "rb").read() == open(second, "rb").read()
 
 
 def rewrite_manifest(path, edit):
