@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigurationError, IntegrityError
+from .errors import IntegrityError
 from .model import Model, build_model
 
 MAGIC = b"HMOECKPT"
@@ -77,11 +77,7 @@ def _read(path: str) -> tuple[dict, memoryview]:
     return manifest, data[head + blob_len :]
 
 
-def read_manifest(path: str) -> dict:
-    return _read(path)[0]
-
-
-def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> tuple[Model, int]:
+def load_checkpoint(path: str) -> tuple[Model, int]:
     """Rebuild the model; parameters are bit-exact copies of the saved ones.
 
     Every parameter of the model must be in the checkpoint, with the model's
@@ -94,16 +90,7 @@ def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> tupl
     if hashlib.sha256(payload).hexdigest() != manifest["sha256"]:
         raise IntegrityError(f"{path}: payload checksum mismatch (truncated or corrupt)")
 
-    cfg = ModelConfig.from_dict(manifest["config"])
-    if expect_config is not None:
-        saved = cfg.to_dict()
-        given = expect_config.to_dict()
-        for key in saved:
-            if saved[key] != given[key]:
-                raise ConfigurationError(
-                    f"checkpoint config mismatch on {key!r}: saved {saved[key]}, requested {given[key]}"
-                )
-    model = build_model(cfg)
+    model = build_model(ModelConfig.from_dict(manifest["config"]))
     loaded = set()
     for entry in manifest["params"]:
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]

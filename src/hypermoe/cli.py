@@ -23,7 +23,7 @@ from .hyper import combine_embeddings, selection_embedding
 from .model import Model, build_model
 from .tasks import generate_task_batch
 from .tensor import Rng, Tape, Tensor, finite_diff_grad
-from .training import combined_loss, evaluate, make_optimizer, train_model, train_step, write_metrics_csv
+from .training import combined_loss, evaluate, make_optimizer, train_model, train_step
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,8 +94,7 @@ def _timed_steps(model: Model, phase: str, steps: int, warmup: int) -> float:
         if phase == "train":
             train_step(model, opt, inputs, targets, noise_rng)
         else:
-            with Tape():
-                model.forward(inputs, training=False)
+            model.forward(inputs, training=False)
     duration = time.perf_counter() - start
     return (steps - warmup) * cfg.batch_size / duration
 
@@ -192,9 +191,8 @@ def embedding_distance_matrices(model: Model, layer: int) -> tuple[np.ndarray, n
     expert_rows = hyper.tables.expert.data
     # selection i: aggregate over all experts except i
     mask = Tensor(1.0 - np.eye(n))
-    with Tape():
-        p = selection_embedding(mask, hyper.tables, hyper.mlp)
-        k = combine_embeddings(p, layer, hyper.tables, hyper.projector)
+    p = selection_embedding(mask, hyper.tables, hyper.mlp)
+    k = combine_embeddings(p, layer, hyper.tables, hyper.projector)
     return _pairwise_distances(expert_rows), _pairwise_distances(k.data)
 
 

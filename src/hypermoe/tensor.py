@@ -1,8 +1,10 @@
-"""Dense float64 tensors with tape-based reverse-mode automatic differentiation.
+"""Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every differentiable operation records itself on the current (thread-local)
-Tape; ``backward`` replays the reachable records in reverse execution order.
-Only the broadcasting the rest of the package needs is supported.
+Every differentiable operation links its output to its inputs (``_parents``)
+and a backward rule; ``backward`` runs the rules of the nodes reachable from
+the loss in reverse topological order. An open ``Tape`` only observes: it
+lists the ops run inside it, and ``backward`` never reads it. Only the
+broadcasting the rest of the package needs is supported.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ Array = np.ndarray
 
 
 class Tape:
-    """Ordered record of differentiable operations, in execution order.
+    """Observer listing the differentiable ops run while it is the innermost open Tape.
 
     Execution order is a topological order by construction: an op's inputs
     are always recorded before the op itself.
@@ -42,10 +44,6 @@ class _TapeStack(threading.local):
 
 
 _TLS = _TapeStack()
-
-
-def current_tape() -> Tape:
-    return _TLS.stack[-1]
 
 
 class Tensor:
@@ -130,12 +128,13 @@ def _as_tensor(x) -> Tensor:
 
 
 def _record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable[[], None]) -> Tensor:
-    """Attach a backward rule and push the op onto the current tape."""
-    if any(p.requires_grad or p._parents for p in parents):
+    """Link ``out`` to its parents with a backward rule; the innermost open Tape lists it."""
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
-        current_tape().records.append(out)
+        if len(_TLS.stack) > 1:  # the bottom entry stands for "no Tape open" and stays empty
+            _TLS.stack[-1].records.append(out)
     return out
 
 
@@ -152,24 +151,31 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tensor reachable from a scalar loss.
 
-    Gradients accumulate across calls until explicitly cleared.
+    An iterative depth-first post-order walk (no recursion limit) sorts the
+    op nodes reachable through ``_parents``; leaves have no rule and are never
+    pushed. Gradients accumulate across calls until explicitly cleared.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar, got shape {loss.shape}")
 
-    reachable: set[int] = set()
-    stack = [loss]
+    order: list[Tensor] = []
+    visited = {id(loss)}
+    stack = [(loss, iter(loss._parents))]
     while stack:
-        t = stack.pop()
-        if id(t) in reachable:
-            continue
-        reachable.add(id(t))
-        stack.extend(t._parents)
+        node, parents = stack[-1]
+        for p in parents:
+            if p._parents and id(p) not in visited:
+                visited.add(id(p))
+                stack.append((p, iter(p._parents)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
 
     loss.accumulate_grad(np.ones_like(loss.data))
-    for rec in reversed(current_tape().records):
-        if id(rec) in reachable and rec._backward is not None and rec.grad is not None:
-            rec._backward()
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward()
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +190,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def back() -> None:
         g = out.grad
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g, b.shape))
 
     return _record(out, (a, b), back)
@@ -200,9 +206,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def back() -> None:
         g = out.grad
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
     return _record(out, (a, b), back)
@@ -246,10 +252,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back() -> None:
         g = out.grad
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a.accumulate_grad(_unbroadcast(ga, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b.accumulate_grad(_unbroadcast(gb, b.shape))
 
@@ -267,9 +273,9 @@ def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
 
     def back() -> None:
         g2 = out.grad.reshape(-1, b.shape[1])
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate_grad(a2.T @ g2)
 
     return _record(out, (a, b), back)
@@ -312,7 +318,7 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
         for p, w in zip(parts, widths):
             sl = [slice(None)] * out.grad.ndim
             sl[axis] = slice(offset, offset + w)
-            if p.requires_grad or p._parents:
+            if p.requires_grad:
                 p.accumulate_grad(out.grad[tuple(sl)])
             offset += w
 
@@ -370,11 +376,11 @@ def combine_slots(parts: Sequence[Tensor], slots: Sequence[Array], gates: Tensor
 
     def back() -> None:
         g = out.grad
-        if gates.requires_grad or gates._parents:
+        if gates.requires_grad:
             gates.accumulate_grad(np.einsum("th,tkh->tk", g, y))
         gy = (gates.data[:, :, None] * g[:, None, :]).reshape(n * k, -1)
         for p, s in zip(parts, slots):
-            if p.requires_grad or p._parents:
+            if p.requires_grad:
                 p.accumulate_grad(gy[s])
 
     return _record(out, (*parts, gates), back)
@@ -427,9 +433,9 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 
     def back() -> None:
         g = out.grad * 2.0 * diff / pred.size
-        if pred.requires_grad or pred._parents:
+        if pred.requires_grad:
             pred.accumulate_grad(g)
-        if target.requires_grad or target._parents:
+        if target.requires_grad:
             target.accumulate_grad(-g)
 
     return _record(out, (pred, target), back)
@@ -466,11 +472,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def back() -> None:
         g = out.grad
-        if gain.requires_grad or gain._parents:
+        if gain.requires_grad:
             gain.accumulate_grad(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad or bias._parents:
+        if bias.requires_grad:
             bias.accumulate_grad(_unbroadcast(g, bias.shape))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             dxhat = g * gain.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -520,8 +526,7 @@ def finite_diff_grad(f: Callable[[Tensor], float | Tensor], x: Tensor, step: flo
         raise ValueError("step must be positive")
 
     def evaluate(arr: Array) -> float:
-        with Tape():
-            r = f(Tensor(arr))
+        r = f(Tensor(arr))
         return r.item() if isinstance(r, Tensor) else float(r)
 
     flat = x.data.reshape(-1)

@@ -24,7 +24,7 @@ from hypermoe.hyper import (
 )
 from hypermoe.model import build_model
 from hypermoe.moe import ExpertBank, GateConfig, GateDecision, load_balance_loss, moe_forward, noisy_topk_gate
-from hypermoe.tensor import Rng, Tape, Tensor
+from hypermoe.tensor import Rng, Tensor
 from hypermoe.training import train_model
 
 

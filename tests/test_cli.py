@@ -214,14 +214,11 @@ class TestAnalyzeEmbeddings:
         model = build_model(cfg)
         hyper = model.hyper
         from hypermoe.hyper import combine_embeddings, selection_embedding
-        from hypermoe.tensor import Tape
-
-        with Tape():
-            mask = Tensor(1.0 - np.eye(2))
-            p = selection_embedding(mask, hyper.tables, hyper.mlp)
-            single = selection_embedding(
-                Tensor(np.array([[0.0, 1.0]])), hyper.tables, hyper.mlp
-            )
+        mask = Tensor(1.0 - np.eye(2))
+        p = selection_embedding(mask, hyper.tables, hyper.mlp)
+        single = selection_embedding(
+            Tensor(np.array([[0.0, 1.0]])), hyper.tables, hyper.mlp
+        )
         assert np.allclose(p.data[0], single.data[0])
         _, sel_d = embedding_distance_matrices(model, 0)
         assert sel_d.shape == (2, 2)

@@ -11,14 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypermoe import checkpoint
-from hypermoe.checkpoint import MAGIC, REQUIRED_KEYS, load_checkpoint, read_manifest, save_checkpoint
+from hypermoe.checkpoint import MAGIC, REQUIRED_KEYS, load_checkpoint, save_checkpoint
 from hypermoe.cli import EXIT_CONFIG, EXIT_INTEGRITY, main
 from hypermoe.config import EMBEDDING_SOURCES, FIELD_RULES, LAYER_KINDS, TASKS, ModelConfig
 from hypermoe.errors import ConfigurationError, IntegrityError
 from hypermoe.hyper import param_count_report
 from hypermoe.model import build_model
 from hypermoe.tasks import GroupedModularAddition, build_task, generate_task_batch
-from hypermoe.tensor import Rng, Tape
+from hypermoe.tensor import Rng
 from hypermoe.training import evaluate, train_model, utilization_histogram
 
 
@@ -222,8 +222,7 @@ class TestEvaluate:
         cfg = tiny_cfg(layer_kind="moe", top_k=2, n_layers=3)
         model = build_model(cfg)
         inputs, _ = model.task.eval_set(16)
-        with Tape():
-            result = model.forward(inputs)
+        result = model.forward(inputs)
         hist = utilization_histogram(result, cfg.n_experts)
         assert hist.sum() == 3 * 2 * 16 * model.task.seq_len
 
@@ -241,10 +240,8 @@ class TestModelScaleZeroGenerator:
         hm.params["hyper.w_down"].data[:] = 0.0
         hm.params["hyper.w_up"].data[:] = 0.0
         inputs, _ = m.task.eval_set(24)
-        with Tape():
-            out_m = m.forward(inputs).outputs.data
-        with Tape():
-            out_h = hm.forward(inputs).outputs.data
+        out_m = m.forward(inputs).outputs.data
+        out_h = hm.forward(inputs).outputs.data
         assert np.array_equal(out_m, out_h)
 
 
@@ -283,9 +280,7 @@ class TestCheckpoint:
         cfg = tiny_cfg(layer_kind="moe")
         path = str(tmp_path / "ck.bin")
         save_checkpoint(build_model(cfg), path)
-        manifest = read_manifest(path)
-        assert manifest["config"]["layer_kind"] == "moe"
-        assert manifest["config"]["h"] == cfg.h
+        assert load_checkpoint(path)[0].cfg.to_dict() == cfg.to_dict()
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = str(tmp_path / "ck.bin")
@@ -311,13 +306,7 @@ class TestCheckpoint:
         with open(path, "wb") as f:
             f.write(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(IntegrityError):
-            read_manifest(path)
-
-    def test_config_mismatch_names_key(self, tmp_path):
-        path = str(tmp_path / "ck.bin")
-        save_checkpoint(build_model(tiny_cfg(h=16)), path)
-        with pytest.raises(ConfigurationError, match="'h'"):
-            load_checkpoint(path, expect_config=tiny_cfg(h=32))
+            load_checkpoint(path)
 
     def test_failed_save_keeps_existing_file(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck.bin")

@@ -23,7 +23,7 @@ from hypermoe.hyper import (
     unselected_mask,
 )
 from hypermoe.moe import moe_forward, noisy_topk_gate
-from hypermoe.tensor import Rng, Tape, Tensor, finite_diff_grad
+from hypermoe.tensor import Rng, Tensor, finite_diff_grad
 
 from test_moe import decision_from_probs, make_bank, make_gate
 
@@ -213,23 +213,21 @@ class TestBatchedHyperexpert:
         leaves = (x, k_all, hn.w_down, hn.w_up)
         weights = Tensor(rng.gaussian(n_tokens, h))
 
-        with Tape():
-            out = _batched_hyperexpert(x, k_all, hn)
-            T.tsum(out * weights).backward()
+        out = _batched_hyperexpert(x, k_all, hn)
+        T.tsum(out * weights).backward()
         fast = [out.data] + [t.grad for t in leaves]
         for t in leaves:
             t.zero_grad()
 
-        with Tape():
-            rows = [
-                hyperexpert_forward(
-                    T.slice_view(x, (slice(i, i + 1),)),
-                    generate_hyperexpert(T.slice_view(k_all, (slice(i, i + 1),)), hn),
-                )
-                for i in range(n_tokens)
-            ]
-            oracle_out = T.concat(rows, axis=0)
-            T.tsum(oracle_out * weights).backward()
+        rows = [
+            hyperexpert_forward(
+                T.slice_view(x, (slice(i, i + 1),)),
+                generate_hyperexpert(T.slice_view(k_all, (slice(i, i + 1),)), hn),
+            )
+            for i in range(n_tokens)
+        ]
+        oracle_out = T.concat(rows, axis=0)
+        T.tsum(oracle_out * weights).backward()
         oracle = [oracle_out.data] + [t.grad for t in leaves]
 
         for name, got, want in zip(("out", "x", "k_all", "w_down", "w_up"), fast, oracle):
@@ -241,8 +239,7 @@ class TestBatchedHyperexpert:
         # size of the per-token D (T, h, b) and U (T, b, h) stacks
         n_tokens, h, b, tk = 32, 8, 4, 3
         x, bank, gate, hyper = setup_layer(t_tokens=n_tokens, h=h, n=3, d_ff=16, tk=tk, b=b)
-        with Tape():
-            out = hypermoe_forward(x, bank, noisy_topk_gate(x, gate), hyper, 0)
+        out = hypermoe_forward(x, bank, noisy_topk_gate(x, gate), hyper, 0)
         seen, stack, largest = set(), [out], 0
         while stack:
             node = stack.pop()
@@ -338,10 +335,9 @@ class TestHypermoeForward:
             "expert0.w1": bank.w1[0],
         }
 
-        with Tape():
-            dec = noisy_topk_gate(x, gate)
-            out = hypermoe_forward(x, bank, dec, hyper, 0)
-            T.tmean(out * out).backward()
+        dec = noisy_topk_gate(x, gate)
+        out = hypermoe_forward(x, bank, dec, hyper, 0)
+        T.tmean(out * out).backward()
         for name, p in groups.items():
             assert p.grad is not None and np.any(p.grad != 0), name
 
@@ -352,10 +348,9 @@ class TestHypermoeForward:
                 saved = _p.data
                 _p.data = candidate.data
                 try:
-                    with Tape():
-                        d = noisy_topk_gate(x, gate)
-                        y = hypermoe_forward(x, bank, d, hyper, 0)
-                        return T.tmean(y * y)
+                    d = noisy_topk_gate(x, gate)
+                    y = hypermoe_forward(x, bank, d, hyper, 0)
+                    return T.tmean(y * y)
                 finally:
                     _p.data = saved
 

@@ -16,7 +16,7 @@ from hypermoe.moe import (
     moe_share_forward,
     noisy_topk_gate,
 )
-from hypermoe.tensor import Rng, Tape, Tensor
+from hypermoe.tensor import Rng, Tensor
 
 
 def make_gate(h, n, k=1, noise=False, seed=0, w_gate=None):
@@ -167,9 +167,8 @@ class TestMoeForward:
         bank.w1[1].data[:] = np.nan
         dec = decision_from_probs(np.full((3, 2), 0.5), [[0], [0], [0]])
         x = Tensor(Rng(4).gaussian(3, 4), requires_grad=True)
-        with Tape():
-            out = moe_forward(x, bank, dec)
-            T.tsum(out * out).backward()
+        out = moe_forward(x, bank, dec)
+        T.tsum(out * out).backward()
         assert np.all(np.isfinite(out.data))
         assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(bank.w1[0].grad))
         assert bank.w1[1].grad is None and bank.w2[1].grad is None
@@ -185,10 +184,9 @@ class TestMoeForward:
         cfg = make_gate(h, n)
         bank = make_bank(h, 6, n)
         x = Tensor(Rng(6).gaussian(5, h))
-        with Tape():
-            dec = noisy_topk_gate(x, cfg)
-            loss = T.tmean(moe_forward(x, bank, dec)) + load_balance_loss(dec)
-            loss.backward()
+        dec = noisy_topk_gate(x, cfg)
+        loss = T.tmean(moe_forward(x, bank, dec)) + load_balance_loss(dec)
+        loss.backward()
         assert cfg.w_gate.grad is not None and np.any(cfg.w_gate.grad != 0)
         selected_experts = set(dec.selected[:, 0].tolist())
         for e in selected_experts:
@@ -249,9 +247,8 @@ class TestGroupedDispatch:
         for forward in (moe_forward, per_expert_moe):
             for t in leaves:
                 t.zero_grad()
-            with Tape():
-                out = forward(x, bank, dec)
-                T.tsum(out * weights).backward()
+            out = forward(x, bank, dec)
+            T.tsum(out * weights).backward()
             results.append([out.data] + [t.grad for t in leaves])
 
         for i, (got, want) in enumerate(zip(*results)):
@@ -309,9 +306,8 @@ class TestLoadBalanceLoss:
     def test_differentiable_through_probs(self):
         cfg = make_gate(4, 3)
         x = Tensor(Rng(7).gaussian(6, 4))
-        with Tape():
-            dec = noisy_topk_gate(x, cfg)
-            load_balance_loss(dec).backward()
+        dec = noisy_topk_gate(x, cfg)
+        load_balance_loss(dec).backward()
         assert cfg.w_gate.grad is not None
 
 

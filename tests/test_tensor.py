@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -150,8 +151,7 @@ class TestBackward:
 
         a = Tensor(rng.gaussian(2, 3), requires_grad=True)
         b = Tensor(rng.gaussian(2, 3), requires_grad=True)
-        with Tape():
-            loss(a, b).backward()
+        loss(a, b).backward()
         fd_a = finite_diff_grad(lambda t: loss(t, Tensor(b.data)), Tensor(a.data))
         fd_b = finite_diff_grad(lambda t: loss(Tensor(a.data), t), Tensor(b.data))
         assert np.max(np.abs(a.grad - fd_a)) < 1e-6
@@ -177,8 +177,7 @@ class TestBackward:
         def f(wt):
             return T.tmean(T.softmax(T.relu(c @ wt)) * c)
 
-        with Tape():
-            f(w).backward()
+        f(w).backward()
         fd = finite_diff_grad(f, w)
         assert np.max(np.abs(w.grad - fd)) / max(np.max(np.abs(fd)), 1e-8) < 1e-4
 
@@ -199,8 +198,7 @@ def test_gradients_match_finite_differences(name, seed):
     x = Tensor(rng.uniform(2, 3, low=-1.0, high=1.0), requires_grad=True)
     c = Tensor(rng.uniform(3, 4, low=-1.0, high=1.0))
     f = GRAPHS[name]
-    with Tape():
-        f(x, c).backward()
+    f(x, c).backward()
     fd = finite_diff_grad(lambda t: f(t, c), Tensor(x.data))
     assert np.max(np.abs(x.grad - fd)) / max(np.max(np.abs(fd)), 1e-6) < 1e-4
 
@@ -212,8 +210,7 @@ def _matmul_grads_match_finite_differences(a: Tensor, b: Tensor) -> None:
         out = at @ bt
         return T.tsum(out * out)
 
-    with Tape():
-        f(a, b).backward()
+    f(a, b).backward()
     fd_a = finite_diff_grad(lambda t: f(t, Tensor(b.data)), Tensor(a.data))
     fd_b = finite_diff_grad(lambda t: f(Tensor(a.data), t), Tensor(b.data))
     for analytic, fd in ((a.grad, fd_a), (b.grad, fd_b)):
@@ -294,8 +291,7 @@ class TestGatherScatter:
             return dense + gathered if dense_first else gathered + dense
 
         table = Tensor(Rng(2).gaussian(3, 2), requires_grad=True)
-        with Tape():
-            f(table).backward()
+        f(table).backward()
         assert np.allclose(table.grad, finite_diff_grad(f, table), atol=1e-8)
 
     def test_combine_slots(self):
@@ -369,6 +365,49 @@ class TestTape:
                 _ = x + x
             assert len(inner.records) == 1
         assert len(outer.records) == 1
+
+    @pytest.mark.parametrize("when", ["after_the_tape_closed", "inside_a_later_tape"])
+    def test_backward_ignores_the_tape(self, when):
+        # backward walks the loss's own graph, whichever Tape (if any) is open
+        rng = Rng(17)
+        c = Tensor(rng.gaussian(3, 4))
+
+        def f(wt):
+            return T.tmean(T.softmax(T.relu(c @ wt)) * c)
+
+        w = Tensor(rng.gaussian(4, 4), requires_grad=True)
+        with Tape():
+            loss = f(w)
+        if when == "after_the_tape_closed":
+            loss.backward()
+        else:
+            with Tape():
+                loss.backward()
+        fd = finite_diff_grad(f, Tensor(w.data))
+        assert w.grad is not None
+        assert np.max(np.abs(w.grad - fd)) / max(np.max(np.abs(fd)), 1e-8) < 1e-6
+
+    def test_ops_outside_a_tape_are_not_kept(self):
+        from hypermoe.config import ModelConfig
+        from hypermoe.model import build_model
+
+        cfg = ModelConfig(
+            layer_kind="hypermoe", h=16, d_ff=16, n_experts=3, n_layers=2, t=4, t_prime=4, t_k=4, b=2,
+            moduli=[3, 4], train_size=64, eval_size=32, batch_size=16,
+        )
+        model = build_model(cfg)
+        inputs, _ = model.task.eval_set(16)
+        for _ in range(5):
+            model.forward(inputs)
+        assert len(T._TLS.stack[0].records) == 0
+
+    def test_deep_graph_beyond_the_recursion_limit(self):
+        x = Tensor([1.0], requires_grad=True)
+        y = x
+        for _ in range(sys.getrecursionlimit() + 100):
+            y = y + x
+        T.tsum(y).backward()
+        assert x.grad.tolist() == [sys.getrecursionlimit() + 101.0]
 
 
 def test_operation_determinism():
