@@ -61,8 +61,11 @@ REQUIRED_KEYS = ("step", "config", "params", "sha256")
 
 def _read(path: str) -> tuple[dict, memoryview]:
     """Read a checkpoint file once; return its manifest and a view of its payload."""
-    with open(path, "rb") as f:
-        data = memoryview(f.read())
+    try:
+        with open(path, "rb") as f:
+            data = memoryview(f.read())
+    except OSError as e:
+        raise IntegrityError(f"{path}: cannot read checkpoint: {e.strerror}") from e
     head = len(MAGIC) + 8
     if len(data) < head or data[: len(MAGIC)] != MAGIC:
         raise IntegrityError(f"{path}: not a checkpoint file")

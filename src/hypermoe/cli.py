@@ -1,7 +1,7 @@
 """Command-line surface: train, eval, bench, gradcheck, analyze-embeddings, compare.
 
-Exit codes: 0 success, 2 config error, 3 runtime/divergence error,
-4 checkpoint integrity error.
+Exit codes: 0 success, 2 config or argument error, 3 runtime/divergence
+error, 4 checkpoint integrity error (corrupt, missing or unreadable).
 """
 
 from __future__ import annotations
@@ -127,13 +127,16 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4, max_params: int = 100_000) -> list[dict]:
+GRADCHECK_MAX_PARAMS = 100_000
+
+
+def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[dict]:
     """Analytic vs central-difference gradients, one row per parameter group."""
     model = build_model(cfg)
-    if model.total_params() >= max_params:
+    if model.total_params() >= GRADCHECK_MAX_PARAMS:
         raise ConfigurationError(
             f"model has {model.total_params()} parameters; gradcheck is limited to "
-            f"{max_params} — shrink h, d_ff, or the task vocabulary"
+            f"{GRADCHECK_MAX_PARAMS} — shrink h, d_ff, or the task vocabulary"
         )
     data_rng = Rng(cfg.seed).spawn("gradcheck")
     inputs, targets = generate_task_batch(model.task, data_rng, min(cfg.batch_size, 8))
@@ -205,6 +208,8 @@ def _write_matrix(path: str, matrix: np.ndarray) -> None:
 
 def cmd_analyze_embeddings(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
+    if args.layer >= model.cfg.n_layers:
+        raise ConfigurationError(f"--layer {args.layer} is out of range for a {model.cfg.n_layers}-layer model")
     experts_d, selection_d = embedding_distance_matrices(model, args.layer)
     os.makedirs(args.out, exist_ok=True)
     _write_matrix(os.path.join(args.out, "experts_dist.csv"), experts_d)
@@ -232,10 +237,7 @@ def run_compare(cfg_base: dict, methods: list[str], seeds: list[int]) -> list[di
 def cmd_compare(args) -> int:
     raw = _read_config_json(args.config)
     methods = args.methods.split(",")
-    seeds = [int(s) for s in args.seeds.split(",")]
-    if not methods or not seeds:
-        raise ConfigurationError("compare needs at least one method and one seed")
-    rows = run_compare(raw, methods, seeds)
+    rows = run_compare(raw, methods, args.seeds)
     print("method,seed,metric")
     for row in rows:
         print(f"{row['method']},{row['seed']},{row['metric']!r}")
@@ -255,8 +257,36 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as a config error: one line naming the flag, exit 2."""
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
+def _non_negative_int_list(text: str) -> list[int]:
+    return [_non_negative_int(part) for part in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hypermoe", description=__doc__)
+    parser = _Parser(prog="hypermoe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model and write metrics + checkpoint")
@@ -267,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="measure samples/second")
@@ -286,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-embeddings", help="expert/selection embedding distance matrices")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--layer", type=int, default=0)
+    p.add_argument("--layer", type=_non_negative_int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_analyze_embeddings)
 
     p = sub.add_parser("compare", help="train a (method x seed) grid and summarize")
     p.add_argument("--config", required=True)
     p.add_argument("--methods", default="moe,moe_share,hypermoe")
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--seeds", type=_non_negative_int_list, default="0,1,2")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
@@ -301,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigurationError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -76,21 +76,6 @@ def shape_chain(spec: ConvPipelineSpec, in_shape: tuple[int, int, int]) -> list[
     return shapes
 
 
-def reference_pipeline_spec() -> ConvPipelineSpec:
-    """The reference pipeline for 2x3072x768 stacked expert weights -> 128 dims."""
-    return ConvPipelineSpec(
-        stages=[
-            Stage.depthwise(5, 5, 5, 5),
-            Stage.pointwise(2, 32),
-            Stage.avg_pool(16, 6),
-            Stage.depthwise(3, 3, 3, 3),
-            Stage.pointwise(32, 128),
-            Stage.avg_pool(8, 8),
-        ],
-        out_dim=128,
-    )
-
-
 def default_pipeline_spec(d_ff: int, h: int, out_dim: int) -> ConvPipelineSpec:
     """Desk-scale pipeline for a 2 x d_ff x h stacked pair ending at out_dim x 1 x 1."""
     kh, kw = min(3, d_ff), min(3, h)

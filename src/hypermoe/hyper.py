@@ -15,8 +15,8 @@ W_up viewed as (b*t_k, h),
     relu(.) U_i    = (relu(.) outer k_i) W_up
 
 which is two plain GEMMs and O(T*b*t_k) memory instead of O(T*h*b).
-``generate_hyperexpert`` and ``hyperexpert_forward`` build one token's D and
-U explicitly and serve as the reference.
+The per-token reference, which builds each token's D and U explicitly, lives
+in ``tests/test_hyper.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import ModelConfig
-from .errors import ConfigurationError, DegenerateSelectionError, DimensionError
+from .errors import ConfigurationError, DegenerateSelectionError
 from .moe import ExpertBank, GateDecision, moe_forward
 from .tensor import Tensor
 
@@ -82,12 +81,6 @@ class HyperNetParams:
 
 
 @dataclass
-class GeneratedExpert:
-    down: Tensor  # (h, b)
-    up: Tensor    # (b, h)
-
-
-@dataclass
 class HyperComponents:
     """Everything the HyperExpert pipeline needs, bundled for one model."""
 
@@ -96,11 +89,6 @@ class HyperComponents:
     projector: Projector
     hn: HyperNetParams
     condition_on: str = "unselected"
-
-
-def unselected_mask(decision: GateDecision) -> Tensor:
-    """Complement of the routing mask: 1 where an expert was NOT selected."""
-    return Tensor(1.0 - decision.binary_mask)
 
 
 def selection_embedding(mask_hat: Tensor, tables: EmbeddingTables, mlp: SelectionMlp) -> Tensor:
@@ -126,22 +114,6 @@ def combine_embeddings(
     return proj(T.concat([p, l_rows], axis=-1))
 
 
-def generate_hyperexpert(k: Tensor, hn: HyperNetParams) -> GeneratedExpert:
-    """Generate one bottleneck expert from a single (1, t_k) embedding."""
-    if k.shape[-1] != hn.w_down.shape[1]:
-        raise DimensionError(f"embedding width {k.shape} does not match t_k={hn.w_down.shape[1]}")
-    down = T.reshape(k @ T.transpose_last2(hn.w_down), (hn.h, hn.b))
-    up = T.reshape(k @ T.transpose_last2(hn.w_up), (hn.b, hn.h))
-    return GeneratedExpert(down, up)
-
-
-def hyperexpert_forward(x: Tensor, gen: GeneratedExpert) -> Tensor:
-    """Bottleneck expert forward: relu(x D) U."""
-    if x.shape[-1] != gen.down.shape[0]:
-        raise DimensionError(f"hyperexpert_forward: x {x.shape} vs D {gen.down.shape}")
-    return T.relu(x @ gen.down) @ gen.up
-
-
 def _batched_hyperexpert(x: Tensor, k_all: Tensor, hn: HyperNetParams) -> Tensor:
     """Apply every token's generated bottleneck expert without building it.
 
@@ -164,8 +136,9 @@ def _batched_hyperexpert(x: Tensor, k_all: Tensor, hn: HyperNetParams) -> Tensor
 
 
 def conditioning_mask(decision: GateDecision, condition_on: str) -> Tensor:
+    """1 for each expert the selection embedding averages: the unselected ones, or the selected ones."""
     if condition_on == "unselected":
-        return unselected_mask(decision)
+        return Tensor(1.0 - decision.binary_mask)
     if condition_on == "selected":
         return Tensor(decision.binary_mask.copy())
     raise ConfigurationError(f"condition_on must be 'selected' or 'unselected', got {condition_on!r}")
@@ -185,31 +158,3 @@ def hypermoe_forward(
     k_all = combine_embeddings(p, layer_index, hyper.tables, hyper.projector)
     return base + _batched_hyperexpert(x, k_all, hyper.hn)
 
-
-def param_count_report(cfg: ModelConfig) -> dict:
-    """Parameter counts per component, from the configured dimensions.
-
-    The generator count does not depend on the layer count; adding a layer
-    costs exactly one extra layer-embedding row (t' parameters) on the
-    HyperExpert side.
-    """
-    hidden = cfg.t  # selection MLP hidden width defaults to t
-    counts = {
-        "gate_per_layer": 2 * cfg.h * cfg.n_experts,
-        "experts_per_layer": cfg.n_experts * (cfg.h * cfg.d_ff + cfg.d_ff * cfg.h),
-        "moe_layer": cfg.n_experts * 2 * cfg.h * cfg.d_ff + 2 * cfg.h * cfg.n_experts,
-        "hypernetwork": (cfg.h * cfg.b + cfg.b * cfg.h) * cfg.t_k,
-        "expert_embeddings": cfg.n_experts * cfg.t_prime,
-        "layer_embeddings": cfg.n_layers * cfg.t_prime,
-        "selection_mlp": cfg.t_prime * hidden + hidden + hidden * cfg.t + cfg.t,
-        "projector": (cfg.t + cfg.t_prime) * cfg.t_k + cfg.t_k,
-    }
-    counts["hyperexpert_total"] = (
-        counts["hypernetwork"]
-        + counts["expert_embeddings"]
-        + counts["layer_embeddings"]
-        + counts["selection_mlp"]
-        + counts["projector"]
-    )
-    counts["per_layer_hyperexpert_increment"] = cfg.t_prime
-    return counts

@@ -7,7 +7,7 @@ their common parameters. One hypernetwork instance serves all layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .moe import (
     moe_share_forward,
     noisy_topk_gate,
 )
-from .tasks import SyntheticTask, build_task
+from .tasks import build_task
 from .tensor import Rng, Tensor
 
 
@@ -56,11 +56,11 @@ class ForwardResult:
 class Model:
     """Parameter registry plus the forward pass for the configured layer kind."""
 
-    def __init__(self, cfg: ModelConfig, rng: Rng, task: SyntheticTask | None = None) -> None:
+    def __init__(self, cfg: ModelConfig) -> None:
         self.cfg = cfg
-        self.task = task if task is not None else build_task(cfg)
+        self.task = build_task(cfg)
         self.params: dict[str, Tensor] = {}
-        self._rng = rng
+        self._rng = Rng(cfg.seed)
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -204,13 +204,8 @@ class Model:
             return moe_share_forward(x_tokens, blk["bank"], blk["shared"], decision)
         hyper = self.hyper
         if cfg.embedding_source == "compressed":
-            hyper = HyperComponents(
-                EmbeddingTables(self._compressed_embeddings(layer_index), hyper.tables.layer),
-                hyper.mlp,
-                hyper.projector,
-                hyper.hn,
-                hyper.condition_on,
-            )
+            tables = replace(hyper.tables, expert=self._compressed_embeddings(layer_index))
+            hyper = replace(hyper, tables=tables)
         return hypermoe_forward(x_tokens, blk["bank"], decision, hyper, layer_index)
 
     def _compressed_embeddings(self, layer_index: int) -> Tensor:
@@ -242,9 +237,6 @@ class Model:
     def total_params(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def parameter_census(self) -> dict[str, int]:
-        return {name: p.size for name, p in self.params.items()}
 
-
-def build_model(cfg: ModelConfig, rng: Rng | None = None, task: SyntheticTask | None = None) -> Model:
-    return Model(cfg, rng if rng is not None else Rng(cfg.seed), task)
+def build_model(cfg: ModelConfig) -> Model:
+    return Model(cfg)

@@ -69,9 +69,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: Array) -> None:
         # The first gradient is copied: ops hand over their own ``out.grad``
         # or views of it, which a later ``+=`` must not write through.
@@ -416,15 +413,6 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     return _record(out, (x,), back)
 
 
-def tmean(x: Tensor) -> Tensor:
-    out = Tensor(x.data.mean())
-
-    def back() -> None:
-        x.accumulate_grad(np.full(x.shape, out.grad / x.size))
-
-    return _record(out, (x,), back)
-
-
 def mse(pred: Tensor, target: Tensor) -> Tensor:
     if pred.shape != target.shape:
         raise DimensionError(f"mse: incompatible shapes {pred.shape} and {target.shape}")
@@ -494,19 +482,15 @@ class Rng:
 
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
-        self.counter = 0
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def gaussian(self, *shape: int, std: float = 1.0) -> Array:
-        self.counter += 1
         return self._gen.standard_normal(shape) * std
 
     def uniform(self, *shape: int, low: float = 0.0, high: float = 1.0) -> Array:
-        self.counter += 1
         return self._gen.uniform(low, high, shape)
 
     def integers(self, low: int, high: int, *shape: int) -> Array:
-        self.counter += 1
         return self._gen.integers(low, high, shape)
 
     def spawn(self, key: str | int) -> "Rng":

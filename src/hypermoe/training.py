@@ -15,24 +15,17 @@ from .tasks import SyntheticTask, generate_task_batch
 from .tensor import Rng, Tape, Tensor
 
 METRICS_HEADER = ["step", "task_loss", "aux_loss", "total_loss", "util_entropy"]
+EVAL_CHUNK = 512  # samples per evaluation forward
 
 
 class Adam:
     """Adam with linear learning-rate warm-up over the first warmup_steps."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        warmup_steps: int = 0,
-        total_steps: int = 0,
-    ) -> None:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float, warmup_steps: int, total_steps: int) -> None:
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.warmup_steps = warmup_steps
         self.total_steps = total_steps
         self.t = 0
@@ -158,7 +151,7 @@ def write_metrics_csv(path: str, rows: list[dict]) -> None:
             writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
 
 
-def evaluate(model: Model, n: int, chunk: int = 512) -> dict:
+def evaluate(model: Model, n: int) -> dict:
     """Deterministic (noise-free) metrics over n fresh eval samples."""
     task = model.task
     inputs, targets = task.eval_set(n)
@@ -167,8 +160,8 @@ def evaluate(model: Model, n: int, chunk: int = 512) -> dict:
     correct = 0
     sq_err = 0.0
     total = len(targets)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
+    for lo in range(0, total, EVAL_CHUNK):
+        hi = min(lo + EVAL_CHUNK, total)
         batch_inputs = (
             inputs[lo:hi] if task.kind == "classification" else (inputs[0][lo:hi], inputs[1][lo:hi])
         )

@@ -113,6 +113,14 @@ class TestEvalCommand:
         open(ck, "wb").write(bytes(blob))
         assert main(["eval", "--checkpoint", ck]) == EXIT_INTEGRITY
 
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_checkpoint_exit_4_names_path(self, tmp_path, capsys, kind):
+        path = str(tmp_path if kind == "directory" else tmp_path / "nothere.bin")
+        assert main(["eval", "--checkpoint", path]) == EXIT_INTEGRITY
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert path in err
+
 
 class TestBenchCommand:
     def test_single_method_report(self, config_path, capsys):
@@ -265,3 +273,29 @@ class TestCompareCommand:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert str(path) in err
+
+
+@pytest.fixture
+def one_layer_checkpoint(tmp_path):
+    path = str(tmp_path / "one_layer.bin")
+    save_checkpoint(build_model(ModelConfig(**{**TINY, "n_layers": 1})), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("eval", "--n", "-5"),
+        ("eval", "--n", "0"),
+        ("compare", "--seeds", "a"),
+        ("compare", "--seeds", ""),
+        ("analyze-embeddings", "--layer", "7"),
+        ("analyze-embeddings", "--layer", "-1"),
+    ],
+)
+def test_bad_argument_exit_2_names_flag(config_path, one_layer_checkpoint, capsys, command, flag, value):
+    source = ["--config", config_path] if command == "compare" else ["--checkpoint", one_layer_checkpoint]
+    assert main([command, *source, flag, value]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert flag in err

@@ -10,7 +10,6 @@ from hypermoe.conv import (
     compress_expert_weights,
     conv_stage_forward,
     default_pipeline_spec,
-    reference_pipeline_spec,
     shape_chain,
     stack_expert_weights,
     stage_output_shape,
@@ -20,9 +19,23 @@ from hypermoe.moe import ExpertBank
 from hypermoe.tensor import Rng, Tensor
 
 
+# The reference pipeline for 2x3072x768 stacked expert weights -> 128 dims.
+REFERENCE_SPEC = ConvPipelineSpec(
+    stages=[
+        Stage.depthwise(5, 5, 5, 5),
+        Stage.pointwise(2, 32),
+        Stage.avg_pool(16, 6),
+        Stage.depthwise(3, 3, 3, 3),
+        Stage.pointwise(32, 128),
+        Stage.avg_pool(8, 8),
+    ],
+    out_dim=128,
+)
+
+
 class TestShapeChain:
     def test_reference_chain_rows(self):
-        shapes = shape_chain(reference_pipeline_spec(), (2, 3072, 768))
+        shapes = shape_chain(REFERENCE_SPEC, (2, 3072, 768))
         assert shapes == [
             (2, 3072, 768),
             (2, 614, 153),

@@ -15,7 +15,6 @@ from hypermoe.checkpoint import MAGIC, REQUIRED_KEYS, load_checkpoint, save_chec
 from hypermoe.cli import EXIT_CONFIG, EXIT_INTEGRITY, main
 from hypermoe.config import EMBEDDING_SOURCES, FIELD_RULES, LAYER_KINDS, TASKS, ModelConfig
 from hypermoe.errors import ConfigurationError, IntegrityError
-from hypermoe.hyper import param_count_report
 from hypermoe.model import build_model
 from hypermoe.tasks import GroupedModularAddition, build_task, generate_task_batch
 from hypermoe.tensor import Rng
@@ -94,20 +93,23 @@ class TestBuildContracts:
     def test_census_matches_count_report(self):
         cfg = tiny_cfg(layer_kind="hypermoe")
         model = build_model(cfg)
-        census = model.parameter_census()
-        report = param_count_report(cfg)
+        census = {name: p.size for name, p in model.params.items()}
+        h, e, d_ff, t, tp, tk, b = cfg.h, cfg.n_experts, cfg.d_ff, cfg.t, cfg.t_prime, cfg.t_k, cfg.b
+        hypernetwork = (h * b + b * h) * tk
+        selection_mlp = tp * t + t + t * t + t  # hidden width t
+        projector = (t + tp) * tk + tk
         gate = sum(v for n, v in census.items() if ".gate." in n) // cfg.n_layers
         experts = (
             sum(v for n, v in census.items() if n.startswith("l") and ".expert" in n)
             // cfg.n_layers
         )
-        assert gate == report["gate_per_layer"]
-        assert experts == report["experts_per_layer"]
-        assert census["hyper.w_down"] + census["hyper.w_up"] == report["hypernetwork"]
-        assert census["hyper.experts"] == report["expert_embeddings"]
-        assert census["hyper.layers"] == report["layer_embeddings"]
+        assert gate == 2 * h * e
+        assert experts == e * (h * d_ff + d_ff * h)
+        assert census["hyper.w_down"] + census["hyper.w_up"] == hypernetwork
+        assert census["hyper.experts"] == e * tp
+        assert census["hyper.layers"] == cfg.n_layers * tp
         hyper_total = sum(v for n, v in census.items() if n.startswith("hyper."))
-        assert hyper_total == report["hyperexpert_total"]
+        assert hyper_total == hypernetwork + e * tp + cfg.n_layers * tp + selection_mlp + projector
 
     def test_common_parameters_shared_across_layer_kinds(self):
         cfg_a = tiny_cfg(layer_kind="moe")

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,24 +10,48 @@ from hypermoe.config import ModelConfig
 from hypermoe.errors import DegenerateSelectionError, DimensionError
 from hypermoe.hyper import (
     EmbeddingTables,
-    GeneratedExpert,
     HyperComponents,
     HyperNetParams,
     Projector,
     SelectionMlp,
     _batched_hyperexpert,
     combine_embeddings,
-    generate_hyperexpert,
-    hyperexpert_forward,
+    conditioning_mask,
     hypermoe_forward,
-    param_count_report,
     selection_embedding,
-    unselected_mask,
 )
+from hypermoe.model import build_model
 from hypermoe.moe import moe_forward, noisy_topk_gate
 from hypermoe.tensor import Rng, Tensor, finite_diff_grad
 
 from test_moe import decision_from_probs, make_bank, make_gate
+from test_tensor import tmean
+
+
+# Per-token reference for the batched generated expert: build one token's
+# D = reshape(W_down k, (h, b)) and U = reshape(W_up k, (b, h)) explicitly.
+
+
+@dataclass
+class GeneratedExpert:
+    down: Tensor  # (h, b)
+    up: Tensor    # (b, h)
+
+
+def generate_hyperexpert(k: Tensor, hn: HyperNetParams) -> GeneratedExpert:
+    """Generate one bottleneck expert from a single (1, t_k) embedding."""
+    if k.shape[-1] != hn.w_down.shape[1]:
+        raise DimensionError(f"embedding width {k.shape} does not match t_k={hn.w_down.shape[1]}")
+    down = T.reshape(k @ T.transpose_last2(hn.w_down), (hn.h, hn.b))
+    up = T.reshape(k @ T.transpose_last2(hn.w_up), (hn.b, hn.h))
+    return GeneratedExpert(down, up)
+
+
+def hyperexpert_forward(x: Tensor, gen: GeneratedExpert) -> Tensor:
+    """Bottleneck expert forward: relu(x D) U."""
+    if x.shape[-1] != gen.down.shape[0]:
+        raise DimensionError(f"hyperexpert_forward: x {x.shape} vs D {gen.down.shape}")
+    return T.relu(x @ gen.down) @ gen.up
 
 
 def identity_mlp(width):
@@ -65,20 +91,20 @@ def make_hyper(h, n, n_layers, t, tp, tk, b, seed=20, condition_on="unselected",
 class TestUnselectedMask:
     def test_three_experts_one_selected(self):
         dec = decision_from_probs([[0.2, 0.6, 0.2]], [[1]])
-        assert unselected_mask(dec).data.tolist() == [[1.0, 0.0, 1.0]]
+        assert conditioning_mask(dec, "unselected").data.tolist() == [[1.0, 0.0, 1.0]]
 
     def test_k2(self):
         dec = decision_from_probs([[0.4, 0.1, 0.1, 0.4]], [[0, 3]])
-        assert unselected_mask(dec).data.tolist() == [[0.0, 1.0, 1.0, 0.0]]
+        assert conditioning_mask(dec, "unselected").data.tolist() == [[0.0, 1.0, 1.0, 0.0]]
 
     def test_degenerate_single_expert(self):
         dec = decision_from_probs([[1.0]], [[0]])
-        assert unselected_mask(dec).data.tolist() == [[0.0]]
+        assert conditioning_mask(dec, "unselected").data.tolist() == [[0.0]]
 
     def test_row_sums_equal_n_minus_k(self):
         cfg = make_gate(5, 4, k=2)
         dec = noisy_topk_gate(Tensor(Rng(1).gaussian(30, 5)), cfg)
-        assert np.all(unselected_mask(dec).data.sum(axis=1) == 2)
+        assert np.all(conditioning_mask(dec, "unselected").data.sum(axis=1) == 2)
 
 
 class TestSelectionEmbedding:
@@ -108,7 +134,7 @@ class TestSelectionEmbedding:
     def test_aggregation_weights_sum_to_one(self):
         cfg = make_gate(5, 4, k=1)
         dec = noisy_topk_gate(Tensor(Rng(2).gaussian(10, 5)), cfg)
-        mask = unselected_mask(dec)
+        mask = conditioning_mask(dec, "unselected")
         weights = mask.data / mask.data.sum(axis=1, keepdims=True)
         assert np.all(weights >= 0)
         assert np.allclose(weights.sum(axis=1), 1.0)
@@ -217,7 +243,7 @@ class TestBatchedHyperexpert:
         T.tsum(out * weights).backward()
         fast = [out.data] + [t.grad for t in leaves]
         for t in leaves:
-            t.zero_grad()
+            t.grad = None
 
         rows = [
             hyperexpert_forward(
@@ -282,7 +308,7 @@ class TestHypermoeForward:
         dec = noisy_topk_gate(x, gate)
         out = hypermoe_forward(x, bank, dec, hyper, 1)
         base = moe_forward(x, bank, dec)
-        mask = unselected_mask(dec)
+        mask = conditioning_mask(dec, "unselected")
         for i in range(2):
             p_i = selection_embedding(Tensor(mask.data[i : i + 1]), hyper.tables, hyper.mlp)
             k_i = combine_embeddings(p_i, 1, hyper.tables, hyper.projector)
@@ -305,7 +331,7 @@ class TestHypermoeForward:
         # each token's generated expert unchanged
         x, bank, gate, hyper = setup_layer(t_tokens=4, n=3)
         dec = noisy_topk_gate(x, gate)
-        mask = unselected_mask(dec).data
+        mask = conditioning_mask(dec, "unselected").data
         p1 = selection_embedding(Tensor(mask), hyper.tables, hyper.mlp)
         swapped_tables = EmbeddingTables(
             Tensor(hyper.tables.expert.data[[1, 0, 2]]), hyper.tables.layer
@@ -337,7 +363,7 @@ class TestHypermoeForward:
 
         dec = noisy_topk_gate(x, gate)
         out = hypermoe_forward(x, bank, dec, hyper, 0)
-        T.tmean(out * out).backward()
+        tmean(out * out).backward()
         for name, p in groups.items():
             assert p.grad is not None and np.any(p.grad != 0), name
 
@@ -350,7 +376,7 @@ class TestHypermoeForward:
                 try:
                     d = noisy_topk_gate(x, gate)
                     y = hypermoe_forward(x, bank, d, hyper, 0)
-                    return T.tmean(y * y)
+                    return tmean(y * y)
                 finally:
                     _p.data = saved
 
@@ -370,19 +396,27 @@ def test_zero_generator_property_random_configs(seed):
     )
 
 
+def hyper_sizes(cfg):
+    """Parameter counts of the HyperExpert side (every ``hyper.*`` tensor) of a built model."""
+    model = build_model(cfg)
+    return {name: p.size for name, p in model.params.items() if name.startswith("hyper.")}
+
+
 class TestParamCountReport:
     def test_hypernetwork_count_independent_of_layers(self):
         for n_layers in (2, 8):
             cfg = ModelConfig(h=16, b=4, t_k=8, n_layers=n_layers, d_ff=32)
-            assert param_count_report(cfg)["hypernetwork"] == 2 * 16 * 4 * 8 == 1024
+            sizes = hyper_sizes(cfg)
+            assert sizes["hyper.w_down"] + sizes["hyper.w_up"] == 2 * 16 * 4 * 8 == 1024
 
     def test_per_layer_increment_is_t_prime(self):
-        a = param_count_report(ModelConfig(n_layers=3))
-        b = param_count_report(ModelConfig(n_layers=4))
-        assert b["hyperexpert_total"] - a["hyperexpert_total"] == a["per_layer_hyperexpert_increment"]
-        assert a["per_layer_hyperexpert_increment"] == ModelConfig().t_prime
+        a = sum(hyper_sizes(ModelConfig(n_layers=3)).values())
+        b = sum(hyper_sizes(ModelConfig(n_layers=4)).values())
+        assert b - a == ModelConfig().t_prime
 
     def test_moe_layer_formula(self):
-        cfg = ModelConfig(h=8, d_ff=16, n_experts=3)
+        cfg = ModelConfig(h=8, d_ff=16, n_experts=3, layer_kind="moe")
+        model = build_model(cfg)
+        layer = sum(p.size for name, p in model.params.items() if name.startswith(("l0.gate.", "l0.expert")))
         expected = 3 * (8 * 16 + 16 * 8) + 2 * 8 * 3
-        assert param_count_report(cfg)["moe_layer"] == expected
+        assert layer == expected

@@ -18,6 +18,8 @@ from hypermoe.moe import (
 )
 from hypermoe.tensor import Rng, Tensor
 
+from test_tensor import tmean
+
 
 def make_gate(h, n, k=1, noise=False, seed=0, w_gate=None):
     rng = Rng(seed)
@@ -185,7 +187,7 @@ class TestMoeForward:
         bank = make_bank(h, 6, n)
         x = Tensor(Rng(6).gaussian(5, h))
         dec = noisy_topk_gate(x, cfg)
-        loss = T.tmean(moe_forward(x, bank, dec)) + load_balance_loss(dec)
+        loss = tmean(moe_forward(x, bank, dec)) + load_balance_loss(dec)
         loss.backward()
         assert cfg.w_gate.grad is not None and np.any(cfg.w_gate.grad != 0)
         selected_experts = set(dec.selected[:, 0].tolist())
@@ -246,7 +248,7 @@ class TestGroupedDispatch:
         results = []
         for forward in (moe_forward, per_expert_moe):
             for t in leaves:
-                t.zero_grad()
+                t.grad = None
             out = forward(x, bank, dec)
             T.tsum(out * weights).backward()
             results.append([out.data] + [t.grad for t in leaves])
