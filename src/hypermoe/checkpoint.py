@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import IntegrityError
-from .model import Model, build_model
+from .model import Model
 
 MAGIC = b"HMOECKPT"
 
@@ -93,7 +93,7 @@ def load_checkpoint(path: str) -> tuple[Model, int]:
     if hashlib.sha256(payload).hexdigest() != manifest["sha256"]:
         raise IntegrityError(f"{path}: payload checksum mismatch (truncated or corrupt)")
 
-    model = build_model(ModelConfig.from_dict(manifest["config"]))
+    model = Model(ModelConfig.from_dict(manifest["config"]), init=False)
     loaded = set()
     for entry in manifest["params"]:
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
@@ -107,7 +107,7 @@ def load_checkpoint(path: str) -> tuple[Model, int]:
         raw = payload[offset : offset + param.size * 8]
         if len(raw) != param.size * 8:
             raise IntegrityError(f"{path}: payload truncated at parameter {name!r}")
-        param.data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        param.data[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         loaded.add(name)
     absent = sorted(set(model.params) - loaded)
     if absent:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ModelConfig
+from .config import LAYER_KINDS, ModelConfig
 from .errors import ConfigurationError, DivergenceError, IntegrityError
 from .hyper import combine_embeddings, selection_embedding
 from .model import Model, build_model
@@ -94,7 +94,8 @@ def _timed_steps(model: Model, phase: str, steps: int, warmup: int) -> float:
         if phase == "train":
             train_step(model, opt, inputs, targets, noise_rng)
         else:
-            model.forward(inputs, training=False)
+            with T.no_grad():
+                model.forward(inputs, training=False)
     duration = time.perf_counter() - start
     return (steps - warmup) * cfg.batch_size / duration
 
@@ -102,7 +103,7 @@ def _timed_steps(model: Model, phase: str, steps: int, warmup: int) -> float:
 def cmd_bench(args) -> int:
     if not args.steps > args.warmup >= 1:
         raise ConfigurationError("bench requires steps > warmup >= 1")
-    methods = args.methods.split(",") if args.methods else [None]
+    methods = args.methods or [None]
     reports = []
     for method in methods:
         cfg = _load_config(args.config, seed=args.seed, layer_kind=method)
@@ -157,7 +158,8 @@ def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[dict]:
             saved = _p.data
             _p.data = candidate.data
             try:
-                return loss_value().item()
+                with T.no_grad():
+                    return loss_value().item()
             finally:
                 _p.data = saved
 
@@ -194,8 +196,9 @@ def embedding_distance_matrices(model: Model, layer: int) -> tuple[np.ndarray, n
     expert_rows = hyper.tables.expert.data
     # selection i: aggregate over all experts except i
     mask = Tensor(1.0 - np.eye(n))
-    p = selection_embedding(mask, hyper.tables, hyper.mlp)
-    k = combine_embeddings(p, layer, hyper.tables, hyper.projector)
+    with T.no_grad():
+        p = selection_embedding(mask, hyper.tables, hyper.mlp)
+        k = combine_embeddings(p, layer, hyper.tables, hyper.projector)
     return _pairwise_distances(expert_rows), _pairwise_distances(k.data)
 
 
@@ -236,7 +239,7 @@ def run_compare(cfg_base: dict, methods: list[str], seeds: list[int]) -> list[di
 
 def cmd_compare(args) -> int:
     raw = _read_config_json(args.config)
-    methods = args.methods.split(",")
+    methods = args.methods
     rows = run_compare(raw, methods, args.seeds)
     print("method,seed,metric")
     for row in rows:
@@ -285,6 +288,13 @@ def _non_negative_int_list(text: str) -> list[int]:
     return [_non_negative_int(part) for part in text.split(",")]
 
 
+def _layer_kinds(text: str) -> list[str]:
+    unknown = [m for m in text.split(",") if m not in LAYER_KINDS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown layer kind(s) {unknown}, expected one of {LAYER_KINDS}")
+    return text.split(",")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hypermoe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase", choices=["train", "eval"], default="train")
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--warmup", type=int, default=5)
-    p.add_argument("--methods", default=None, help="comma-separated layer kinds; two give a ratio")
+    p.add_argument("--methods", type=_layer_kinds, default=None, help="comma-separated layer kinds; two give a ratio")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_bench)
 
@@ -322,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="train a (method x seed) grid and summarize")
     p.add_argument("--config", required=True)
-    p.add_argument("--methods", default="moe,moe_share,hypermoe")
+    p.add_argument("--methods", type=_layer_kinds, default="moe,moe_share,hypermoe")
     p.add_argument("--seeds", type=_non_negative_int_list, default="0,1,2")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)

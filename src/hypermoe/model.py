@@ -54,10 +54,11 @@ class ForwardResult:
 
 
 class Model:
-    """Parameter registry plus the forward pass for the configured layer kind."""
+    """Parameter registry plus the forward pass; ``init=False`` leaves every parameter unset."""
 
-    def __init__(self, cfg: ModelConfig) -> None:
+    def __init__(self, cfg: ModelConfig, init: bool = True) -> None:
         self.cfg = cfg
+        self._init = init
         self.task = build_task(cfg)
         self.params: dict[str, Tensor] = {}
         self._rng = Rng(cfg.seed)
@@ -69,8 +70,10 @@ class Model:
         """New parameter drawn from a stream keyed by (seed, name)."""
         if name in self.params:
             raise ConfigurationError(f"duplicate parameter {name}")
-        stream = self._rng.spawn(name)
-        data = stream.gaussian(*shape, std=std) if std > 0 else np.zeros(shape)
+        if not self._init:  # the caller fills every parameter, as load_checkpoint does
+            data = np.empty(shape)
+        else:
+            data = self._rng.spawn(name).gaussian(*shape, std=std) if std > 0 else np.zeros(shape)
         p = Tensor(data, requires_grad=True)
         self.params[name] = p
         return p

@@ -1,14 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every differentiable operation links its output to its inputs (``_parents``)
-and a backward rule; ``backward`` runs the rules of the nodes reachable from
-the loss in reverse topological order. An open ``Tape`` only observes: it
-lists the ops run inside it, and ``backward`` never reads it. Only the
+and a rule ``back(g)`` that captures the inputs, never the output, so a graph
+is no reference cycle and is freed by refcount. ``backward`` runs the rules of
+the nodes reachable from the loss in reverse topological order, passing each
+node's gradient, borrowed or owned (see ``accumulate_grad``). Under
+``no_grad()`` ops link nothing. An open ``Tape`` only observes: it lists the
+ops that link a graph inside it, and ``backward`` never reads it. Only the
 broadcasting the rest of the package needs is supported.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import zlib
 from typing import Callable, Sequence
@@ -41,22 +45,35 @@ class Tape:
 class _TapeStack(threading.local):
     def __init__(self) -> None:
         self.stack = [Tape()]
+        self.grad_enabled = True
 
 
 _TLS = _TapeStack()
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Run the ops inside without linking a graph; nests, and restores the flag on any exit."""
+    enabled = _TLS.grad_enabled
+    _TLS.grad_enabled = False
+    try:
+        yield
+    finally:
+        _TLS.grad_enabled = enabled
+
+
 class Tensor:
     """Row-major float64 n-d array with an optional accumulated gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = requires_grad
         self._parents: tuple["Tensor", ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Array], None] | None = None
+        self._owns_grad = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -70,18 +87,31 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, g: Array) -> None:
-        # The first gradient is copied: ops hand over their own ``out.grad``
-        # or views of it, which a later ``+=`` must not write through.
+        """Add ``g`` into ``grad``. The first gradient is kept as handed over, borrowed
+        (rules hand on their ``g``, views of it, or one array to several inputs)
+        and never written into; a second one is added out of place into an owned
+        sum, which later ones add into in place until ``backward`` hands it on."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
+            self.grad = g
+            self._owns_grad = False
+        elif self._owns_grad:
             self.grad += g
+        else:
+            self.grad = self.grad + g
+            self._owns_grad = True
 
     def accumulate_at(self, key, g: Array) -> None:
-        """Add ``g`` into ``grad[key]``; repeated indices in ``key`` add up."""
+        """Add ``g`` into ``grad[key]`` on an owned buffer; repeated indices in ``key`` add up.
+        Strictly increasing 1-D ids cannot repeat and take a fancy-index ``+=``."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        np.add.at(self.grad, key, g)
+        elif not self._owns_grad:
+            self.grad = np.array(self.grad)
+        self._owns_grad = True
+        if isinstance(key, np.ndarray) and key.ndim == 1 and np.all(key[1:] > key[:-1]):
+            self.grad[key] += g
+        else:
+            np.add.at(self.grad, key, g)
 
     def backward(self) -> None:
         backward(self)
@@ -124,9 +154,9 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable[[], None]) -> Tensor:
-    """Link ``out`` to its parents with a backward rule; the innermost open Tape lists it."""
-    if any(p.requires_grad for p in parents):
+def _record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable[[Array], None]) -> Tensor:
+    """Outside ``no_grad``, link ``out`` to its parents with a backward rule; the innermost open Tape lists it."""
+    if _TLS.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -172,7 +202,8 @@ def backward(loss: Tensor) -> None:
     loss.accumulate_grad(np.ones_like(loss.data))
     for node in reversed(order):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
+            node._owns_grad = False  # the rule may have handed grad, or views of it, on
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +216,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
 
-    def back() -> None:
-        g = out.grad
+    def back(g: Array) -> None:
         if a.requires_grad:
             a.accumulate_grad(_unbroadcast(g, a.shape))
         if b.requires_grad:
@@ -201,8 +231,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
 
-    def back() -> None:
-        g = out.grad
+    def back(g: Array) -> None:
         if a.requires_grad:
             a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
@@ -214,9 +243,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
 
-    def back() -> None:
+    def back(g: Array) -> None:
         # subgradient at 0 is 0
-        x.accumulate_grad(out.grad * (x.data > 0.0))
+        x.accumulate_grad(g * (x.data > 0.0))
 
     return _record(out, (x,), back)
 
@@ -225,13 +254,13 @@ def softplus(x: Tensor) -> Tensor:
     d = x.data
     out = Tensor(np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d))))
 
-    def back() -> None:
+    def back(g: Array) -> None:
         sig = np.empty_like(d)
         pos = d >= 0
         sig[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
         ez = np.exp(d[~pos])
         sig[~pos] = ez / (1.0 + ez)
-        x.accumulate_grad(out.grad * sig)
+        x.accumulate_grad(g * sig)
 
     return _record(out, (x,), back)
 
@@ -247,8 +276,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _matmul_flat(a, b)
     out = Tensor(np.matmul(a.data, b.data))
 
-    def back() -> None:
-        g = out.grad
+    def back(g: Array) -> None:
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a.accumulate_grad(_unbroadcast(ga, a.shape))
@@ -268,8 +296,8 @@ def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
     a2 = a.data.reshape(-1, a.shape[-1])
     out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],)))
 
-    def back() -> None:
-        g2 = out.grad.reshape(-1, b.shape[1])
+    def back(g: Array) -> None:
+        g2 = g.reshape(-1, b.shape[1])
         if a.requires_grad:
             a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
         if b.requires_grad:
@@ -281,8 +309,8 @@ def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 
-    def back() -> None:
-        x.accumulate_grad(out.grad.reshape(x.shape))
+    def back(g: Array) -> None:
+        x.accumulate_grad(g.reshape(x.shape))
 
     return _record(out, (x,), back)
 
@@ -290,8 +318,8 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 def transpose_last2(x: Tensor) -> Tensor:
     out = Tensor(np.swapaxes(x.data, -1, -2))
 
-    def back() -> None:
-        x.accumulate_grad(np.swapaxes(out.grad, -1, -2))
+    def back(g: Array) -> None:
+        x.accumulate_grad(np.swapaxes(g, -1, -2))
 
     return _record(out, (x,), back)
 
@@ -300,8 +328,8 @@ def slice_view(x: Tensor, key: tuple) -> Tensor:
     """Differentiable (possibly strided) slice of x."""
     out = Tensor(x.data[key].copy())
 
-    def back() -> None:
-        x.accumulate_at(key, out.grad)
+    def back(g: Array) -> None:
+        x.accumulate_at(key, g)
 
     return _record(out, (x,), back)
 
@@ -310,23 +338,24 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     widths = [p.shape[axis] for p in parts]
 
-    def back() -> None:
+    def back(g: Array) -> None:
         offset = 0
         for p, w in zip(parts, widths):
-            sl = [slice(None)] * out.grad.ndim
+            sl = [slice(None)] * g.ndim
             sl[axis] = slice(offset, offset + w)
             if p.requires_grad:
-                p.accumulate_grad(out.grad[tuple(sl)])
+                p.accumulate_grad(g[tuple(sl)])
             offset += w
 
     return _record(out, tuple(parts), back)
 
 
 def reciprocal(x: Tensor) -> Tensor:
-    out = Tensor(1.0 / x.data)
+    y = 1.0 / x.data
+    out = Tensor(y)
 
-    def back() -> None:
-        x.accumulate_grad(-out.grad * out.data * out.data)
+    def back(g: Array) -> None:
+        x.accumulate_grad(-g * y * y)
 
     return _record(out, (x,), back)
 
@@ -340,8 +369,8 @@ def gather_rows(table: Tensor, ids: Array) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     out = Tensor(table.data[ids])
 
-    def back() -> None:
-        table.accumulate_at(ids.reshape(-1), out.grad.reshape(-1, table.shape[-1]))
+    def back(g: Array) -> None:
+        table.accumulate_at(ids.reshape(-1), g.reshape(-1, table.shape[-1]))
 
     return _record(out, (table,), back)
 
@@ -352,8 +381,8 @@ def take_per_row(x: Tensor, idx: Array) -> Tensor:
     rows = np.arange(x.shape[0])[:, None]
     out = Tensor(x.data[rows, idx])
 
-    def back() -> None:
-        x.accumulate_at((rows, idx), out.grad)
+    def back(g: Array) -> None:
+        x.accumulate_at((rows, idx), g)
 
     return _record(out, (x,), back)
 
@@ -371,8 +400,7 @@ def combine_slots(parts: Sequence[Tensor], slots: Sequence[Array], gates: Tensor
     y = y.reshape(n, k, -1)
     out = Tensor(np.matmul(gates.data[:, None, :], y)[:, 0])
 
-    def back() -> None:
-        g = out.grad
+    def back(g: Array) -> None:
         if gates.requires_grad:
             gates.accumulate_grad(np.einsum("th,tkh->tk", g, y))
         gy = (gates.data[:, :, None] * g[:, None, :]).reshape(n * k, -1)
@@ -396,8 +424,7 @@ def softmax(x: Tensor) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
-    def back() -> None:
-        g = out.grad
+    def back(g: Array) -> None:
         dot = (g * y).sum(axis=-1, keepdims=True)
         x.accumulate_grad(y * (g - dot))
 
@@ -407,8 +434,8 @@ def softmax(x: Tensor) -> Tensor:
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     out = Tensor(x.data.sum(axis=axis, keepdims=axis is not None))
 
-    def back() -> None:
-        x.accumulate_grad(np.broadcast_to(out.grad, x.shape))
+    def back(g: Array) -> None:
+        x.accumulate_grad(np.broadcast_to(g, x.shape))
 
     return _record(out, (x,), back)
 
@@ -419,8 +446,8 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.data - target.data
     out = Tensor(np.mean(diff * diff))
 
-    def back() -> None:
-        g = out.grad * 2.0 * diff / pred.size
+    def back(g: Array) -> None:
+        g = g * 2.0 * diff / pred.size
         if pred.requires_grad:
             pred.accumulate_grad(g)
         if target.requires_grad:
@@ -441,11 +468,11 @@ def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:
     logz = np.log(np.exp(shifted).sum(axis=-1))
     out = Tensor(np.mean(logz - shifted[np.arange(n), targets]))
 
-    def back() -> None:
+    def back(g: Array) -> None:
         p = np.exp(shifted)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(n), targets] -= 1.0
-        logits.accumulate_grad(out.grad * p / n)
+        logits.accumulate_grad(g * p / n)
 
     return _record(out, (logits,), back)
 
@@ -458,8 +485,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = (x.data - mu) * inv
     out = Tensor(xhat * gain.data + bias.data)
 
-    def back() -> None:
-        g = out.grad
+    def back(g: Array) -> None:
         if gain.requires_grad:
             gain.accumulate_grad(_unbroadcast(g * xhat, gain.shape))
         if bias.requires_grad:

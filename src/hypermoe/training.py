@@ -165,7 +165,7 @@ def evaluate(model: Model, n: int) -> dict:
         batch_inputs = (
             inputs[lo:hi] if task.kind == "classification" else (inputs[0][lo:hi], inputs[1][lo:hi])
         )
-        with Tape():
+        with Tape(), T.no_grad():  # the Tape stays for observers that count its (zero) records
             result = model.forward(batch_inputs, training=False)
         hist += utilization_histogram(result, n_experts)
         if task.kind == "classification":

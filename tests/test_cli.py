@@ -180,9 +180,8 @@ class TestGradcheckCommand:
             out = saved(x)
             bk = out._backward
             if bk is not None:
-                def corrupted():
-                    out.grad = out.grad * 1.05
-                    bk()
+                def corrupted(g):
+                    bk(g * 1.05)
 
                 out._backward = corrupted
             return out
@@ -273,6 +272,20 @@ class TestCompareCommand:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert str(path) in err
+
+
+@pytest.mark.parametrize("command", ["compare", "bench"])
+@pytest.mark.parametrize("methods", ["moe,foo", "hypermoe,", "Moe"])
+def test_bad_method_exit_2_before_training(command, methods, config_path, capsys, monkeypatch):
+    import hypermoe.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_model", lambda cfg: built.append(cfg) or build_model(cfg))
+    assert main([command, "--config", config_path, "--methods", methods]) == EXIT_CONFIG
+    assert built == []
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "--methods" in err
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
 import builtins
+import contextlib
 import errno
+import gc
 import json
 import os
 import struct
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypermoe import checkpoint
+from hypermoe import checkpoint, training
+from hypermoe import tensor as T
 from hypermoe.checkpoint import MAGIC, REQUIRED_KEYS, load_checkpoint, save_checkpoint
 from hypermoe.cli import EXIT_CONFIG, EXIT_INTEGRITY, main
 from hypermoe.config import EMBEDDING_SOURCES, FIELD_RULES, LAYER_KINDS, TASKS, ModelConfig
@@ -18,7 +22,7 @@ from hypermoe.errors import ConfigurationError, IntegrityError
 from hypermoe.model import build_model
 from hypermoe.tasks import GroupedModularAddition, build_task, generate_task_batch
 from hypermoe.tensor import Rng
-from hypermoe.training import evaluate, train_model, utilization_histogram
+from hypermoe.training import evaluate, make_optimizer, train_model, train_step, utilization_histogram
 
 
 def tiny_cfg(**kw):
@@ -233,6 +237,52 @@ class TestEvaluate:
         metrics = evaluate(build_model(cfg), 32)
         assert "mse" in metrics and metrics["mse"] >= 0
 
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_same_dict_as_with_a_graph(self, kind, task, monkeypatch):
+        model = build_model(tiny_cfg(layer_kind=kind, task=task, eval_size=600, operand_range=24))
+        free = evaluate(model, 600)  # two chunks
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        assert evaluate(model, 600) == free
+
+    def test_forward_links_no_graph(self, monkeypatch):
+        model = build_model(tiny_cfg(layer_kind="hypermoe"))
+        outputs = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda *a, **kw: outputs.append(forward(*a, **kw)) or outputs[-1])
+        evaluate(model, 32)
+        assert outputs and all(r.outputs._parents == () for r in outputs)
+
+
+class TestTrainStepGraph:
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_freed_by_refcount(self, kind, monkeypatch):
+        # every backward rule of the step's graph dies with its node once the
+        # step's result is dropped, with the cyclic collector off
+        model = build_model(tiny_cfg(layer_kind=kind))
+        opt = make_optimizer(model)
+        inputs, targets = generate_task_batch(model.task, Rng(0), 16)
+        losses = []
+        combined = training.combined_loss
+        monkeypatch.setattr(training, "combined_loss", lambda *a: losses.append(combined(*a)) or losses[-1])
+        gc.disable()
+        try:
+            result, *_ = train_step(model, opt, inputs, targets, Rng(1))
+            (total, _, _), = losses
+            rules, stack, seen = [], [total], set()
+            while stack:
+                node = stack.pop()
+                if node._backward is not None and id(node) not in seen:
+                    seen.add(id(node))
+                    rules.append(weakref.ref(node._backward))
+                    stack.extend(node._parents)
+            assert len(rules) > 10
+            del result, total, losses[:], node, stack
+            dead = sum(r() is None for r in rules)
+        finally:
+            gc.enable()
+        assert dead == len(rules)
+
 
 class TestModelScaleZeroGenerator:
     def test_step0_hypermoe_matches_moe(self):
@@ -275,6 +325,22 @@ class TestCheckpoint:
         loaded, step = load_checkpoint(path)
         assert step == cfg.steps
         assert sorted(loaded.params) == sorted(model.params)
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data), name
+
+    @pytest.mark.parametrize("source", EMBEDDING_SOURCES)
+    def test_load_draws_no_random_init(self, source, tmp_path, monkeypatch):
+        model = build_model(tiny_cfg(layer_kind="hypermoe", embedding_source=source))
+        train_model(model)
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(model, path)
+        draws = []
+        gaussian = Rng.gaussian
+        monkeypatch.setattr(Rng, "gaussian", lambda self, *shape, std=1.0: draws.append(shape) or gaussian(self, *shape, std=std))
+        loaded, _ = load_checkpoint(path)
+        # the frozen conv chain is not saved, so only the compressed source draws it
+        conv = [w.shape for w in loaded.conv_pipeline.weights if w is not None] if loaded.conv_pipeline else []
+        assert draws == conv
         for name, p in model.params.items():
             assert np.array_equal(loaded.params[name].data, p.data), name
 

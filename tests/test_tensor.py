@@ -174,6 +174,19 @@ class TestBackward:
         loss.backward()
         assert x.grad.tolist() == [2.0, 2.0]
 
+    def test_repeated_backward_does_not_write_through_a_borrowed_view(self):
+        # n sums two gradients into a buffer it owns and hands x a view of it;
+        # the second pass must add into n out of place, or x's gradient would change under it
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        n = T.reshape(x, (2, 1))
+        loss = T.tsum(n + n)
+        loss.backward()
+        assert x.grad.tolist() == [2.0, 2.0]
+        loss.grad = None
+        loss.backward()
+        # add's gradient is 1 + 1, n's is 2 + 2 + 2, and x's is 2 + 6
+        assert x.grad.tolist() == [8.0, 8.0]
+
     def test_composite_matches_finite_differences(self):
         rng = Rng(11)
         c = Tensor(rng.gaussian(2, 3))
@@ -282,6 +295,24 @@ class TestGatherScatter:
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         T.tsum(T.gather_rows(table, np.array([0, 0, 2]))).backward()
         assert table.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "ids", [np.array([0, 2, 3, 5]), np.array([4, 1, 1, 3, 4, 4]), np.array([[0, 1], [1, 0]])],
+        ids=["strictly_increasing", "repeated", "2d_repeated"],
+    )
+    @pytest.mark.parametrize("dense_first", [True, False])
+    def test_gather_rows_backward_matches_add_at(self, ids, dense_first):
+        # strictly increasing 1-D ids take a fancy-index +=, any other key
+        # np.add.at; both must equal np.add.at, into a fresh or an existing gradient
+        rng = Rng(5)
+        table = Tensor(rng.gaussian(6, 3), requires_grad=True)
+        weights = rng.gaussian(*ids.shape, 3)
+        gathered = T.tsum(T.gather_rows(table, ids) * Tensor(weights))
+        dense = T.tsum(table * Tensor(np.full((6, 3), 0.5)))
+        (dense + gathered if dense_first else gathered + dense).backward()
+        expected = np.full((6, 3), 0.5)
+        np.add.at(expected, ids.reshape(-1), weights.reshape(-1, 3))
+        assert np.allclose(table.grad, expected, rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("dense_first", [True, False])
     def test_accumulate_at_with_dense_consumer(self, dense_first):
@@ -407,6 +438,97 @@ class TestTape:
             y = y + x
         T.tsum(y).backward()
         assert x.grad.tolist() == [sys.getrecursionlimit() + 101.0]
+
+
+class TestNoGrad:
+    def test_ops_link_nothing_and_no_tape_lists_them(self):
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        w = Tensor([[0.5], [1.5]], requires_grad=True)
+        with Tape() as tape, T.no_grad():
+            outs = [T.relu(x), x @ w, T.softmax(x), T.tsum(x * x), T.concat([x, x])]
+        assert tape.records == []
+        for out in outs:
+            assert out._parents == () and out._backward is None and not out.requires_grad
+
+    def test_nests(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not (x * x).requires_grad
+        assert (x * x)._parents == (x, x)
+
+    def test_restores_the_flag_when_an_exception_is_raised(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(DimensionError):
+            with T.no_grad():
+                x + Tensor([1.0, 2.0, 3.0])
+        assert (x + x).requires_grad
+        with T.no_grad():
+            with pytest.raises(DimensionError):
+                with T.no_grad():
+                    x + Tensor([1.0, 2.0, 3.0])
+            assert not (x + x).requires_grad
+
+    def test_values_match_the_graph_forward(self):
+        rng = Rng(3)
+        x = Tensor(rng.gaussian(4, 5), requires_grad=True)
+        w = Tensor(rng.gaussian(5, 3), requires_grad=True)
+
+        def f():
+            return T.softmax(T.relu(x @ w)) * T.reciprocal(T.softplus(x @ w))
+
+        with T.no_grad():
+            free = f()
+        assert np.array_equal(free.data, f().data)
+
+
+@st.composite
+def aliasing_graphs(draw):
+    """Leaf shape and a list of ops over a pool of same-shaped tensors."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    op = st.tuples(st.sampled_from(["add", "mul", "concat_tsum", "tsum_broadcast"]), *[st.integers(0, 99)] * 3)
+    return (m, n), draw(st.lists(op, min_size=1, max_size=6))
+
+
+def build_aliasing_graph(leaves, ops, weights):
+    """A scalar loss whose graph reuses tensors: ``add`` hands both parents one
+    gradient (the same tensor twice, at times), ``concat`` hands out slices of
+    its gradient and ``tsum`` a broadcast view."""
+    pool = list(leaves)
+    for kind, i, j, k in ops:
+        a, b, c = pool[i % len(pool)], pool[j % len(pool)], pool[k % len(pool)]
+        if kind == "add":
+            pool.append(a + b)
+        elif kind == "mul":
+            pool.append(a * b)
+        elif kind == "concat_tsum":
+            pool.append(c + T.tsum(T.concat([a, b], axis=0), axis=0))
+        else:
+            pool.append(a + T.tsum(b, axis=0) * 0.5)
+    total = T.tsum(pool[-1] * Tensor(weights))
+    for t in pool[len(leaves):-1]:
+        total = total + T.tsum(t) * 0.25
+    return total
+
+
+@given(graph=aliasing_graphs(), seed=st.integers(0, 2**16))
+def test_aliased_gradients_match_finite_differences(graph, seed):
+    shape, ops = graph
+    rng = Rng(seed)
+    values = [rng.uniform(*shape, low=-0.5, high=0.5) for _ in range(2)]
+    weights = rng.gaussian(*shape)
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    build_aliasing_graph(leaves, ops, weights).backward()
+    for idx, leaf in enumerate(leaves):
+        def f(t, idx=idx):
+            others = [Tensor(v) for v in values]
+            others[idx] = t
+            return build_aliasing_graph(others, ops, weights)
+
+        fd = finite_diff_grad(f, Tensor(values[idx]))
+        analytic = leaf.grad if leaf.grad is not None else np.zeros(shape)
+        assert np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1.0) < 1e-6
 
 
 def test_operation_determinism():
