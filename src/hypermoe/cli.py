@@ -188,18 +188,17 @@ def _pairwise_distances(rows: np.ndarray) -> np.ndarray:
 
 
 def embedding_distance_matrices(model: Model, layer: int) -> tuple[np.ndarray, np.ndarray]:
-    """Expert-embedding distances and leave-one-out selection-embedding distances."""
+    """Distances between the expert embeddings ``layer`` runs with, and its leave-one-out codes."""
     if model.cfg.layer_kind != "hypermoe":
         raise ConfigurationError("analyze-embeddings requires a hypermoe checkpoint")
-    hyper = model.hyper
     n = model.cfg.n_experts
-    expert_rows = hyper.tables.expert.data
     # selection i: aggregate over all experts except i
     mask = Tensor(1.0 - np.eye(n))
     with T.no_grad():
+        hyper = model._layer_hyper(layer)
         p = selection_embedding(mask, hyper.tables, hyper.mlp)
         k = combine_embeddings(p, layer, hyper.tables, hyper.projector)
-    return _pairwise_distances(expert_rows), _pairwise_distances(k.data)
+    return _pairwise_distances(hyper.tables.expert.data), _pairwise_distances(k.data)
 
 
 def _write_matrix(path: str, matrix: np.ndarray) -> None:

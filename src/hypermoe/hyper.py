@@ -1,22 +1,14 @@
-"""HyperExpert: per-token bottleneck experts generated by a shared hypernetwork.
+"""HyperExpert: bottleneck experts generated by a shared hypernetwork, one per routing mask.
 
-The pipeline per token: invert the routing mask to find the unselected
-experts, average their embeddings through a small MLP into a selection
-embedding, fuse with the layer embedding, and feed the result to the shared
-generator to produce a (down, up) bottleneck expert that runs in parallel
-with the routed experts.
-
-The generated weights are linear in the code k, D_i = reshape(W_down k_i)
-and U_i = reshape(W_up k_i), so the batched forward never builds them: with
-W_down viewed as (h, b*t_k), each row of x W_down viewed as (b, t_k), and
-W_up viewed as (b*t_k, h),
-
-    relu(x_i D_i)  = relu(sum_j k_ij (x W_down)_i[:, j])
-    relu(.) U_i    = (relu(.) outer k_i) W_up
-
-which is two plain GEMMs and O(T*b*t_k) memory instead of O(T*h*b).
-The per-token reference, which builds each token's D and U explicitly, lives
-in ``tests/test_hyper.py``.
+A token's generated expert depends only on its routing mask: invert the mask
+to find the unselected experts, average their embeddings through a small MLP
+into a selection embedding, fuse it with the layer embedding into a code k,
+and feed k to the shared generator for a (down, up) bottleneck expert that
+runs in parallel with the routed experts. A layer has at most C(N, K)
+distinct masks, so the embeddings and codes are computed once per distinct
+mask, and ``tensor.generated_expert`` builds each mask's D and U once and
+runs the tokens grouped by mask in one graph node. The per-token reference,
+which builds every token's D and U, lives in ``tests/test_hyper.py``.
 """
 
 from __future__ import annotations
@@ -114,25 +106,19 @@ def combine_embeddings(
     return proj(T.concat([p, l_rows], axis=-1))
 
 
-def _batched_hyperexpert(x: Tensor, k_all: Tensor, hn: HyperNetParams) -> Tensor:
-    """Apply every token's generated bottleneck expert without building it.
+def _group_by_mask(selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's group id, one group per distinct routing mask, and the first token of each group.
 
-    Token i's expert is relu(x_i D_i) U_i with D_i = reshape(W_down k_i, (h, b))
-    and U_i = reshape(W_up k_i, (b, h)). Contracting k last gives
-
-        hidden_i = relu(sum_j k_ij (x W_down')_i[:, j])    W_down' = W_down as (h, b*t_k)
-        out_i    = (hidden_i outer k_i) W_up'              W_up' = W_up as (b*t_k, h)
-
-    so the whole batch costs two GEMMs and (T, b, t_k) intermediates.
+    The key is the token's sorted expert ids, compared exactly for any number of experts.
     """
-    n_tokens, t_k = x.shape[0], k_all.shape[-1]
-    h, b = hn.h, hn.b
-    code = T.reshape(k_all, (n_tokens, 1, t_k))
-    projected = T.reshape(x @ T.reshape(hn.w_down, (h, b * t_k)), (n_tokens, b, t_k))
-    hidden = T.relu(T.tsum(projected * code, axis=-1))  # (T, b, 1)
-    outer = T.reshape(hidden * code, (n_tokens, b * t_k))
-    w_up = T.reshape(T.transpose_last2(T.reshape(hn.w_up, (b, h, t_k))), (b * t_k, h))
-    return outer @ w_up
+    keys = np.sort(selected, axis=1)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    groups = np.empty(len(order), dtype=np.int64)
+    groups[order] = np.cumsum(new) - 1
+    return groups, order[new]
 
 
 def conditioning_mask(decision: GateDecision, condition_on: str) -> Tensor:
@@ -151,10 +137,12 @@ def hypermoe_forward(
     hyper: HyperComponents,
     layer_index: int,
 ) -> Tensor:
-    """Routed MoE output plus the per-token generated HyperExpert, unscaled."""
+    """Routed MoE output plus each token's generated HyperExpert, unscaled."""
     base = moe_forward(x, bank, decision)
+    groups, first = _group_by_mask(decision.selected)
     mask = conditioning_mask(decision, hyper.condition_on)
-    p = selection_embedding(mask, hyper.tables, hyper.mlp)
-    k_all = combine_embeddings(p, layer_index, hyper.tables, hyper.projector)
-    return base + _batched_hyperexpert(x, k_all, hyper.hn)
+    p = selection_embedding(Tensor(mask.data[first]), hyper.tables, hyper.mlp)
+    codes = combine_embeddings(p, layer_index, hyper.tables, hyper.projector)
+    hn = hyper.hn
+    return base + T.generated_expert(x, codes, groups, hn.w_down, hn.w_up, hn.b)
 

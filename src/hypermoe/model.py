@@ -205,11 +205,15 @@ class Model:
             return moe_forward(x_tokens, blk["bank"], decision)
         if cfg.layer_kind == "moe_share":
             return moe_share_forward(x_tokens, blk["bank"], blk["shared"], decision)
-        hyper = self.hyper
-        if cfg.embedding_source == "compressed":
-            tables = replace(hyper.tables, expert=self._compressed_embeddings(layer_index))
-            hyper = replace(hyper, tables=tables)
-        return hypermoe_forward(x_tokens, blk["bank"], decision, hyper, layer_index)
+        return hypermoe_forward(x_tokens, blk["bank"], decision, self._layer_hyper(layer_index), layer_index)
+
+    def _layer_hyper(self, layer_index: int) -> HyperComponents:
+        """The HyperExpert components layer ``layer_index`` runs with: compressed
+        embeddings stand in for the learned expert table."""
+        if self.cfg.embedding_source != "compressed":
+            return self.hyper
+        tables = replace(self.hyper.tables, expert=self._compressed_embeddings(layer_index))
+        return replace(self.hyper, tables=tables)
 
     def _compressed_embeddings(self, layer_index: int) -> Tensor:
         """Per-layer expert embeddings from compressed expert weights, gradient-free."""

@@ -411,6 +411,55 @@ def combine_slots(parts: Sequence[Tensor], slots: Sequence[Array], gates: Tensor
     return _record(out, (*parts, gates), back)
 
 
+def generated_expert(
+    x: Tensor, codes: Tensor, groups: Array, w_down: Tensor, w_up: Tensor, b: int
+) -> Tensor:
+    """Each token's generated bottleneck expert: out[t] = relu(x[t] D_u) U_u with u = groups[t].
+
+    ``codes`` is (U, t_k), one code k_u per group; D_u = reshape(W_down k_u, (h, b))
+    and U_u = reshape(W_up k_u, (b, h)) are built once per group. The tokens are
+    sorted by group once, and each group runs as two GEMMs on a contiguous slice.
+    """
+    n_groups, h = codes.shape[0], x.shape[-1]
+    down = (codes.data @ w_down.data.T).reshape(n_groups, h, b)
+    up = (codes.data @ w_up.data.T).reshape(n_groups, b, h)
+    order = np.argsort(groups, kind="stable")
+    counts = np.bincount(groups, minlength=n_groups)
+    ends = np.cumsum(counts)
+    spans = list(zip(ends - counts, ends))
+    xs = x.data[order]
+    hidden = np.empty((len(order), b))
+    ys = np.empty_like(xs)
+    for u, (s, e) in enumerate(spans):
+        hidden[s:e] = np.maximum(xs[s:e] @ down[u], 0.0)
+        ys[s:e] = hidden[s:e] @ up[u]
+    y = np.empty_like(ys)
+    y[order] = ys
+    out = Tensor(y)
+
+    def back(g: Array) -> None:
+        gs = g[order]
+        d_down, d_up, dxs = np.empty_like(down), np.empty_like(up), np.empty_like(xs)
+        for u, (s, e) in enumerate(spans):
+            d_up[u] = hidden[s:e].T @ gs[s:e]
+            d_pre = (gs[s:e] @ up[u].T) * (hidden[s:e] > 0.0)
+            d_down[u] = xs[s:e].T @ d_pre
+            dxs[s:e] = d_pre @ down[u].T
+        d_down, d_up = d_down.reshape(n_groups, h * b), d_up.reshape(n_groups, b * h)
+        if x.requires_grad:
+            dx = np.empty_like(dxs)
+            dx[order] = dxs
+            x.accumulate_grad(dx)
+        if codes.requires_grad:
+            codes.accumulate_grad(d_down @ w_down.data + d_up @ w_up.data)
+        if w_down.requires_grad:
+            w_down.accumulate_grad(d_down.T @ codes.data)
+        if w_up.requires_grad:
+            w_up.accumulate_grad(d_up.T @ codes.data)
+
+    return _record(out, (x, codes, w_down, w_up), back)
+
+
 # ---------------------------------------------------------------------------
 # softmax, reductions, losses
 

@@ -230,6 +230,20 @@ class TestAnalyzeEmbeddings:
         _, sel_d = embedding_distance_matrices(model, 0)
         assert sel_d.shape == (2, 2)
 
+    def test_compressed_checkpoint_reads_the_layer_embeddings(self):
+        # a compressed model's forward replaces the learned expert table, which
+        # then never trains, by each layer's compressed expert weights
+        cfg = ModelConfig(**{**TINY, "layer_kind": "hypermoe", "embedding_source": "compressed", "steps": 3})
+        model = build_model(cfg)
+        train_model(model)
+        experts_d = []
+        for layer in range(cfg.n_layers):
+            rows = model._compressed_embeddings(layer).data
+            want = np.sqrt(((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=-1))
+            experts_d.append(embedding_distance_matrices(model, layer)[0])
+            assert np.array_equal(experts_d[-1], want)
+        assert not np.allclose(experts_d[0], experts_d[1])
+
     def test_rejects_non_hypermoe(self, tmp_path):
         path = write_config(tmp_path, layer_kind="moe")
         out = str(tmp_path / "run")

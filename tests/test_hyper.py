@@ -14,7 +14,7 @@ from hypermoe.hyper import (
     HyperNetParams,
     Projector,
     SelectionMlp,
-    _batched_hyperexpert,
+    _group_by_mask,
     combine_embeddings,
     conditioning_mask,
     hypermoe_forward,
@@ -22,13 +22,15 @@ from hypermoe.hyper import (
 )
 from hypermoe.model import build_model
 from hypermoe.moe import moe_forward, noisy_topk_gate
-from hypermoe.tensor import Rng, Tensor, finite_diff_grad
+from hypermoe.tasks import generate_task_batch
+from hypermoe.tensor import Rng, Tape, Tensor, finite_diff_grad
+from hypermoe.training import combined_loss
 
 from test_moe import decision_from_probs, make_bank, make_gate
 from test_tensor import tmean
 
 
-# Per-token reference for the batched generated expert: build one token's
+# Per-token reference for the grouped generated expert: build one token's
 # D = reshape(W_down k, (h, b)) and U = reshape(W_up k, (b, h)) explicitly.
 
 
@@ -218,28 +220,38 @@ class TestHyperexpertForward:
 
 
 @st.composite
-def hyperexpert_dims(draw):
+def generated_expert_case(draw):
+    """Token count, h, b, t_k and a group id per token: one group, one per token, or random."""
+    n_tokens = draw(st.integers(1, 6))
     h = draw(st.integers(2, 6))
-    return draw(st.integers(1, 6)), h, draw(st.integers(1, h - 1)), draw(st.integers(1, 5))
+    b, tk = draw(st.integers(1, h - 1)), draw(st.integers(1, 5))
+    layout = draw(st.sampled_from(("one", "per_token", "random")))
+    if layout == "one":
+        groups = [0] * n_tokens
+    elif layout == "per_token":
+        groups = draw(st.permutations(range(n_tokens)))
+    else:
+        groups = draw(st.lists(st.integers(0, n_tokens - 1), min_size=n_tokens, max_size=n_tokens))
+    return n_tokens, h, b, tk, np.asarray(groups, dtype=np.int64)
 
 
-class TestBatchedHyperexpert:
-    @given(dims=hyperexpert_dims(), seed=st.integers(0, 2**16))
-    def test_matches_per_token_oracle(self, dims, seed):
-        n_tokens, h, b, tk = dims
+class TestGeneratedExpert:
+    @given(case=generated_expert_case(), seed=st.integers(0, 2**16))
+    def test_matches_per_token_oracle(self, case, seed):
+        n_tokens, h, b, tk, groups = case
         rng = Rng(seed)
         x = Tensor(rng.gaussian(n_tokens, h), requires_grad=True)
-        k_all = Tensor(rng.gaussian(n_tokens, tk), requires_grad=True)
+        codes = Tensor(rng.gaussian(int(groups.max()) + 1, tk), requires_grad=True)
         hn = HyperNetParams(
             Tensor(rng.gaussian(h * b, tk, std=0.3), requires_grad=True),
             Tensor(rng.gaussian(b * h, tk, std=0.3), requires_grad=True),
             h,
             b,
         )
-        leaves = (x, k_all, hn.w_down, hn.w_up)
+        leaves = (x, codes, hn.w_down, hn.w_up)
         weights = Tensor(rng.gaussian(n_tokens, h))
 
-        out = _batched_hyperexpert(x, k_all, hn)
+        out = T.generated_expert(x, codes, groups, hn.w_down, hn.w_up, b)
         T.tsum(out * weights).backward()
         fast = [out.data] + [t.grad for t in leaves]
         for t in leaves:
@@ -248,15 +260,15 @@ class TestBatchedHyperexpert:
         rows = [
             hyperexpert_forward(
                 T.slice_view(x, (slice(i, i + 1),)),
-                generate_hyperexpert(T.slice_view(k_all, (slice(i, i + 1),)), hn),
+                generate_hyperexpert(T.slice_view(codes, (slice(u, u + 1),)), hn),
             )
-            for i in range(n_tokens)
+            for i, u in enumerate(groups)
         ]
         oracle_out = T.concat(rows, axis=0)
         T.tsum(oracle_out * weights).backward()
         oracle = [oracle_out.data] + [t.grad for t in leaves]
 
-        for name, got, want in zip(("out", "x", "k_all", "w_down", "w_up"), fast, oracle):
+        for name, got, want in zip(("out", "x", "codes", "w_down", "w_up"), fast, oracle):
             assert got.shape == want.shape, name
             assert np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0) < 1e-12, name
 
@@ -383,6 +395,48 @@ class TestHypermoeForward:
             fd = finite_diff_grad(f, Tensor(p.data))
             rel = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-6)
             assert rel < 1e-4, (name, rel)
+
+
+class TestGroupByMask:
+    # A float key sum(2**e) is exact only up to 53 experts: 2**0 + 2**59 and
+    # 2**1 + 2**59 both round to 2**59, and so do their unselected complements.
+    SELECTED = np.array([[59, 0], [1, 59], [0, 53], [54, 0], [0, 59], [58, 57]])
+
+    def test_exact_key_beyond_53_experts(self):
+        groups, first = _group_by_mask(self.SELECTED)
+        assert len(set(groups[:4])) == 4
+        assert groups[4] == groups[0] and groups[5] not in groups[:5]
+        assert np.array_equal(groups[first], np.arange(len(first)))
+
+    def test_layer_matches_per_token_oracle_at_60_experts(self):
+        n = 60
+        x, bank, gate, hyper = setup_layer(t_tokens=len(self.SELECTED), n=n, k=2)
+        probs = Rng(7).uniform(len(self.SELECTED), n, low=0.1, high=1.0)
+        dec = decision_from_probs(probs / probs.sum(axis=1, keepdims=True), self.SELECTED)
+        out = hypermoe_forward(x, bank, dec, hyper, 1)
+        base = moe_forward(x, bank, dec)
+        mask = conditioning_mask(dec, "unselected")
+        for i in range(len(self.SELECTED)):
+            p_i = selection_embedding(Tensor(mask.data[i : i + 1]), hyper.tables, hyper.mlp)
+            k_i = combine_embeddings(p_i, 1, hyper.tables, hyper.projector)
+            e_i = hyperexpert_forward(Tensor(x.data[i : i + 1]), generate_hyperexpert(k_i, hyper.hn))
+            assert np.max(np.abs(out.data[i] - (base.data[i] + e_i.data[0]))) < 1e-12
+
+
+def test_small_training_graph_node_count():
+    # the `small` benchmark workload (acceptance criterion 5): with one
+    # generated-expert node per layer, a hypermoe training graph, forward
+    # plus loss, has 91 nodes; a per-token chain of 13 nodes would give 115
+    cfg = ModelConfig(
+        d_ff=64, n_experts=4, top_k=1, n_layers=2, b=4, batch_size=64, moduli=[5, 3, 4, 6],
+        train_size=4096, eval_size=512, noise_enabled=False, layer_kind="hypermoe", seed=0,
+    )
+    model = build_model(cfg)
+    inputs, targets = generate_task_batch(model.task, Rng(1), cfg.batch_size)
+    with Tape() as tape:
+        result = model.forward(inputs, training=True, noise_rng=Rng(2))
+        combined_loss(result, targets, model.task, cfg)
+    assert len(tape.records) <= 91, len(tape.records)
 
 
 @pytest.mark.parametrize("seed", range(10))
