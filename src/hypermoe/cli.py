@@ -246,7 +246,7 @@ def cmd_compare(args) -> int:
     print("method,mean,spread")
     for method in methods:
         vals = [r["metric"] for r in rows if r["method"] == method]
-        print(f"{method},{np.mean(vals)!r},{np.max(vals) - np.min(vals)!r}")
+        print(f"{method},{float(np.mean(vals))!r},{float(np.max(vals) - np.min(vals))!r}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "compare.csv"), "w", newline="", encoding="utf-8") as f:
@@ -283,6 +283,16 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
+def _out_dir(text: str) -> str:
+    """An output directory path: neither it nor any existing parent may be a file."""
+    path = os.path.abspath(text)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a file, not a directory")
+    return text
+
+
 def _non_negative_int_list(text: str) -> list[int]:
     return [_non_negative_int(part) for part in text.split(",")]
 
@@ -300,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write metrics + checkpoint")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default="out")
+    p.add_argument("--out", type=_out_dir, default="out")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
@@ -326,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-embeddings", help="expert/selection embedding distance matrices")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--layer", type=_non_negative_int, default=0)
-    p.add_argument("--out", default="out")
+    p.add_argument("--out", type=_out_dir, default="out")
     p.set_defaults(func=cmd_analyze_embeddings)
 
     p = sub.add_parser("compare", help="train a (method x seed) grid and summarize")
     p.add_argument("--config", required=True)
     p.add_argument("--methods", type=_layer_kinds, default="moe,moe_share,hypermoe")
     p.add_argument("--seeds", type=_non_negative_int_list, default="0,1,2")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_dir, default=None)
     p.set_defaults(func=cmd_compare)
 
     return parser

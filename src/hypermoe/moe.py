@@ -5,10 +5,9 @@ experts' outputs, the load-balancing auxiliary loss, and the MoE-Share
 baseline (routed experts plus one always-on shared MLP).
 
 Dispatch is slot-ordered: each token's K routing decisions are T*K flat
-slots. An expert gathers the tokens of its slots and runs once on them, and
-one combine node writes every expert's rows into a (T*K, h) slot buffer and
-returns the gate-weighted sum over each token's K slots. No per-expert
-(T, h) buffer is scattered into or added.
+slots. One ``tensor.routed_experts`` node per layer sorts the slots by
+expert once, runs each used expert once on its contiguous slice of slot
+rows, and returns the gate-weighted sum over each token's K slots.
 """
 
 from __future__ import annotations
@@ -135,22 +134,12 @@ def expert_forward(x: Tensor, expert: tuple[Tensor, Tensor]) -> Tensor:
 
 
 def moe_forward(x: Tensor, bank: ExpertBank, decision: GateDecision) -> Tensor:
-    """Combine selected experts per token: y_i = sum_k gate_ik * E_sel(x_i).
-
-    Slot s is token s // K. Experts that no slot selects are not evaluated.
-    """
+    """y_i = sum_k gate_ik * E_sel(x_i) over the K experts token i selects, in one graph node."""
     if decision.num_experts != bank.num_experts:
         raise ConfigurationError(
             f"decision has {decision.num_experts} experts, bank has {bank.num_experts}"
         )
-    k = decision.top_k
-    parts, slots = [], []
-    for e in range(bank.num_experts):
-        s = np.flatnonzero(decision.selected == e)
-        if s.size:
-            parts.append(expert_forward(T.gather_rows(x, s // k), (bank.w1[e], bank.w2[e])))
-            slots.append(s)
-    return T.combine_slots(parts, slots, decision.gate_values)
+    return T.routed_experts(x, bank.w1, bank.w2, decision.selected, decision.gate_values)
 
 
 def moe_share_forward(

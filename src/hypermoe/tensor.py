@@ -387,16 +387,52 @@ def take_per_row(x: Tensor, idx: Array) -> Tensor:
     return _record(out, (x,), back)
 
 
-def combine_slots(parts: Sequence[Tensor], slots: Sequence[Array], gates: Tensor) -> Tensor:
-    """Gate-weighted sum of each token's K slot rows: out[t] = sum_k gates[t, k] * Y[t*K + k].
+def _grouped_ffn(x: Array, ids: Array, k: int, w1, w2) -> tuple[Array, tuple]:
+    """Row r's FFN relu(x[r // k] W1_u) W2_u, u = ids[r], in row order, and the state its backward needs.
 
-    ``gates`` is (T, K). ``parts[j]`` holds the rows Y[slots[j]]; the flat slot
-    ids of all parts together must cover 0 .. T*K-1 exactly once.
+    The rows are sorted by id once, and each id present runs as two GEMMs on
+    its contiguous slice, into one hidden and one output buffer.
     """
-    n, k = gates.shape
-    y = np.empty((n * k, parts[0].shape[-1]))
-    for p, s in zip(parts, slots):
-        y[s] = p.data
+    order = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids, minlength=len(w1))
+    ends = np.cumsum(counts)
+    spans = [(u, ends[u] - counts[u], ends[u]) for u in np.flatnonzero(counts)]
+    xs = x[order // k]
+    hidden = np.empty((len(ids), w1[0].shape[1]))
+    ys = np.empty((len(ids), w2[0].shape[1]))
+    for u, s, e in spans:
+        np.matmul(xs[s:e], w1[u], out=hidden[s:e])
+        np.maximum(hidden[s:e], 0.0, out=hidden[s:e])
+        np.matmul(hidden[s:e], w2[u], out=ys[s:e])
+    y = np.empty_like(ys)
+    y[order] = ys
+    return y, (order, spans, xs, hidden)
+
+
+def _grouped_ffn_back(gy: Array, k: int, state: tuple, w1, w2) -> tuple[Array, Array, Array]:
+    """For the row-order output gradient ``gy`` of ``_grouped_ffn``: the gradients of x and of
+    the stacked W1 and W2, zero for an id with no row."""
+    order, spans, xs, hidden = state
+    gs = gy[order]
+    dxs = np.empty_like(xs)
+    dw1, dw2 = np.zeros((len(w1), *w1[0].shape)), np.zeros((len(w2), *w2[0].shape))
+    for u, s, e in spans:
+        d_pre = gs[s:e] @ w2[u].T
+        d_pre *= hidden[s:e] > 0.0
+        np.matmul(xs[s:e].T, d_pre, out=dw1[u])
+        np.matmul(hidden[s:e].T, gs[s:e], out=dw2[u])
+        np.matmul(d_pre, w1[u].T, out=dxs[s:e])
+    dx = np.empty_like(dxs)
+    dx[order] = dxs
+    return dx.reshape(-1, k, dx.shape[1]).sum(axis=1), dw1, dw2
+
+
+def routed_experts(x: Tensor, w1: Sequence[Tensor], w2: Sequence[Tensor], selected: Array, gates: Tensor) -> Tensor:
+    """out[t] = sum_k gates[t, k] relu(x[t] W1_e) W2_e with e = selected[t, k], the T*K slots run grouped by expert;
+    an expert no slot selects is neither run nor given a gradient."""
+    n, k = selected.shape
+    w1d, w2d = [w.data for w in w1], [w.data for w in w2]
+    y, state = _grouped_ffn(x.data, selected.reshape(-1), k, w1d, w2d)
     y = y.reshape(n, k, -1)
     out = Tensor(np.matmul(gates.data[:, None, :], y)[:, 0])
 
@@ -404,11 +440,15 @@ def combine_slots(parts: Sequence[Tensor], slots: Sequence[Array], gates: Tensor
         if gates.requires_grad:
             gates.accumulate_grad(np.einsum("th,tkh->tk", g, y))
         gy = (gates.data[:, :, None] * g[:, None, :]).reshape(n * k, -1)
-        for p, s in zip(parts, slots):
-            if p.requires_grad:
-                p.accumulate_grad(gy[s])
+        dx, dw1, dw2 = _grouped_ffn_back(gy, k, state, w1d, w2d)
+        if x.requires_grad:
+            x.accumulate_grad(dx)
+        for u in np.unique(selected):
+            for w, d in ((w1[u], dw1[u]), (w2[u], dw2[u])):
+                if w.requires_grad:
+                    w.accumulate_grad(d)
 
-    return _record(out, (*parts, gates), back)
+    return _record(out, (x, gates, *w1, *w2), back)
 
 
 def generated_expert(
@@ -417,38 +457,18 @@ def generated_expert(
     """Each token's generated bottleneck expert: out[t] = relu(x[t] D_u) U_u with u = groups[t].
 
     ``codes`` is (U, t_k), one code k_u per group; D_u = reshape(W_down k_u, (h, b))
-    and U_u = reshape(W_up k_u, (b, h)) are built once per group. The tokens are
-    sorted by group once, and each group runs as two GEMMs on a contiguous slice.
+    and U_u = reshape(W_up k_u, (b, h)) are built once per group, and the tokens run grouped.
     """
     n_groups, h = codes.shape[0], x.shape[-1]
     down = (codes.data @ w_down.data.T).reshape(n_groups, h, b)
     up = (codes.data @ w_up.data.T).reshape(n_groups, b, h)
-    order = np.argsort(groups, kind="stable")
-    counts = np.bincount(groups, minlength=n_groups)
-    ends = np.cumsum(counts)
-    spans = list(zip(ends - counts, ends))
-    xs = x.data[order]
-    hidden = np.empty((len(order), b))
-    ys = np.empty_like(xs)
-    for u, (s, e) in enumerate(spans):
-        hidden[s:e] = np.maximum(xs[s:e] @ down[u], 0.0)
-        ys[s:e] = hidden[s:e] @ up[u]
-    y = np.empty_like(ys)
-    y[order] = ys
+    y, state = _grouped_ffn(x.data, groups, 1, down, up)
     out = Tensor(y)
 
     def back(g: Array) -> None:
-        gs = g[order]
-        d_down, d_up, dxs = np.empty_like(down), np.empty_like(up), np.empty_like(xs)
-        for u, (s, e) in enumerate(spans):
-            d_up[u] = hidden[s:e].T @ gs[s:e]
-            d_pre = (gs[s:e] @ up[u].T) * (hidden[s:e] > 0.0)
-            d_down[u] = xs[s:e].T @ d_pre
-            dxs[s:e] = d_pre @ down[u].T
+        dx, d_down, d_up = _grouped_ffn_back(g, 1, state, down, up)
         d_down, d_up = d_down.reshape(n_groups, h * b), d_up.reshape(n_groups, b * h)
         if x.requires_grad:
-            dx = np.empty_like(dxs)
-            dx[order] = dxs
             x.accumulate_grad(dx)
         if codes.requires_grad:
             codes.accumulate_grad(d_down @ w_down.data + d_up @ w_up.data)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hypermoe.checkpoint import save_checkpoint
+from hypermoe.checkpoint import load_checkpoint, save_checkpoint
 from hypermoe.cli import (
     EXIT_CONFIG,
     EXIT_INTEGRITY,
@@ -166,18 +166,18 @@ class TestGradcheckCommand:
         assert "FAIL" not in out.replace("FAILURES", "")
 
     def test_detects_injected_backward_fault(self):
-        # scale gradients flowing through relu by 5% without touching the
-        # forward values; the affected groups must be reported as failing
+        # scale gradients flowing through the routed experts by 5% without
+        # touching the forward values; the affected groups must be reported as failing
         cfg = ModelConfig(**{**TINY, "h": 8, "d_ff": 8, "layer_kind": "moe", "noise_enabled": False})
         rows = gradcheck_model(cfg)
         assert all(r["passed"] for r in rows)
 
         from hypermoe import tensor as tensor_mod
 
-        saved = tensor_mod.relu
+        saved = tensor_mod.routed_experts
 
-        def broken_relu(x):
-            out = saved(x)
+        def broken_routed_experts(*args):
+            out = saved(*args)
             bk = out._backward
             if bk is not None:
                 def corrupted(g):
@@ -186,11 +186,11 @@ class TestGradcheckCommand:
                 out._backward = corrupted
             return out
 
-        tensor_mod.relu = broken_relu
+        tensor_mod.routed_experts = broken_routed_experts
         try:
             rows = gradcheck_model(cfg)
         finally:
-            tensor_mod.relu = saved
+            tensor_mod.routed_experts = saved
         assert any(not r["passed"] for r in rows)
 
 
@@ -300,6 +300,33 @@ def test_bad_method_exit_2_before_training(command, methods, config_path, capsys
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert "--methods" in err
+
+
+@pytest.mark.parametrize("command", ["train", "analyze-embeddings", "compare"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_naming_a_file_exit_2_before_work(command, out, config_path, tmp_path, capsys, monkeypatch):
+    import hypermoe.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "build_model", lambda cfg: calls.append(cfg) or build_model(cfg))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: calls.append(path) or load_checkpoint(path))
+    (tmp_path / "file").write_text("")
+    source = ["--checkpoint", str(tmp_path / "ck.bin")] if command == "analyze-embeddings" else ["--config", config_path]
+    assert main([command, *source, "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert calls == []
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "--out" in err and str(tmp_path / "file") in err
+
+
+def test_compare_summary_fields_are_plain_floats(config_path, capsys):
+    assert main(["compare", "--config", config_path, "--methods", "moe", "--seeds", "0,1"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    summary = lines[lines.index("method,mean,spread") + 1 :]
+    assert [line.split(",")[0] for line in summary] == ["moe"]
+    for line in summary:
+        for field in line.split(",")[1:]:
+            float(field)
 
 
 @pytest.fixture

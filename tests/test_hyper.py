@@ -423,20 +423,30 @@ class TestGroupByMask:
             assert np.max(np.abs(out.data[i] - (base.data[i] + e_i.data[0]))) < 1e-12
 
 
-def test_small_training_graph_node_count():
-    # the `small` benchmark workload (acceptance criterion 5): with one
-    # generated-expert node per layer, a hypermoe training graph, forward
-    # plus loss, has 91 nodes; a per-token chain of 13 nodes would give 115
+def small_training_graph_nodes(layer_kind):
+    """Graph nodes of one training forward plus loss on the `small` benchmark workload (acceptance criterion 5)."""
     cfg = ModelConfig(
         d_ff=64, n_experts=4, top_k=1, n_layers=2, b=4, batch_size=64, moduli=[5, 3, 4, 6],
-        train_size=4096, eval_size=512, noise_enabled=False, layer_kind="hypermoe", seed=0,
+        train_size=4096, eval_size=512, noise_enabled=False, layer_kind=layer_kind, seed=0,
     )
     model = build_model(cfg)
     inputs, targets = generate_task_batch(model.task, Rng(1), cfg.batch_size)
     with Tape() as tape:
         result = model.forward(inputs, training=True, noise_rng=Rng(2))
         combined_loss(result, targets, model.task, cfg)
-    assert len(tape.records) <= 91, len(tape.records)
+    return len(tape.records)
+
+
+def test_small_training_graph_node_count():
+    # one routed-experts node and one generated-expert node per layer; four
+    # nodes per used expert and a combine node per layer gave 91
+    assert small_training_graph_nodes("hypermoe") <= 83
+
+
+def test_small_moe_training_graph_node_count():
+    # one routed-experts node per layer; four nodes per used expert and a
+    # combine node per layer gave 67
+    assert small_training_graph_nodes("moe") <= 59
 
 
 @pytest.mark.parametrize("seed", range(10))

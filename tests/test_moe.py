@@ -16,7 +16,7 @@ from hypermoe.moe import (
     moe_share_forward,
     noisy_topk_gate,
 )
-from hypermoe.tensor import Rng, Tensor
+from hypermoe.tensor import Rng, Tape, Tensor
 
 from test_tensor import tmean
 
@@ -220,9 +220,9 @@ def per_expert_moe(x, bank, decision):
 
 @st.composite
 def routing_cases(draw):
-    n_tokens = draw(st.integers(1, 8))
+    n_tokens = draw(st.integers(1, 32))
     h, d_ff = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 9))
     k = draw(st.integers(1, n))
     # tokens route only among `used` experts, so the others get no slot
     used = draw(st.integers(k, n))
@@ -260,6 +260,18 @@ class TestGroupedDispatch:
             assert got.shape == want.shape, i
             assert np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0) < 1e-12, i
         assert sum(t.grad is None for t in bank.w1) == n - len(np.unique(selected))
+
+
+    @pytest.mark.parametrize("used", [1, 2, 5, 6])
+    def test_one_graph_node_per_call(self, used):
+        n_tokens, h, n = 12, 3, 6
+        bank = make_bank(h, 4, n)
+        x = Tensor(Rng(0).gaussian(n_tokens, h), requires_grad=True)
+        selected = (np.arange(n_tokens) % used)[:, None]
+        dec = decision_from_probs(np.full((n_tokens, n), 1.0 / n), selected)
+        with Tape() as tape:
+            moe_forward(x, bank, dec)
+        assert len(tape.records) == 1
 
 
 class TestLoadBalanceLoss:

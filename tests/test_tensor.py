@@ -330,20 +330,6 @@ class TestGatherScatter:
         f(table).backward()
         assert np.allclose(table.grad, finite_diff_grad(f, table), atol=1e-8)
 
-    def test_combine_slots(self):
-        # T=2 tokens, K=2 slots each; part a holds slots 0 and 3, part b slots 1 and 2
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-        b = Tensor([[5.0, 6.0], [7.0, 8.0]], requires_grad=True)
-        gates = Tensor([[0.5, 0.25], [2.0, 1.0]], requires_grad=True)
-        slots = [np.array([0, 3]), np.array([1, 2])]
-        out = T.combine_slots([a, b], slots, gates)
-        assert out.data.tolist() == [[1.75, 2.5], [17.0, 20.0]]
-        weights = Tensor([[1.0, -1.0], [2.0, 0.5]])
-        T.tsum(out * weights).backward()
-        assert a.grad.tolist() == [[0.5, -0.5], [2.0, 0.5]]
-        assert b.grad.tolist() == [[0.25, -0.25], [4.0, 1.0]]
-        assert gates.grad.tolist() == [[-1.0, -1.0], [18.0, 8.0]]
-
     def test_take_per_row(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         out = T.take_per_row(x, np.array([[2], [0]]))
