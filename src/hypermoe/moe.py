@@ -5,7 +5,8 @@ experts' outputs, the load-balancing auxiliary loss, and the MoE-Share
 baseline (routed experts plus one always-on shared MLP).
 
 Dispatch is slot-ordered: each token's K routing decisions are T*K flat
-slots. One ``tensor.routed_experts`` node per layer sorts the slots by
+slots. ``expert_forward``, given the gate decision, records one
+``tensor.routed_experts`` node per layer: it sorts the slots by
 expert once, runs each used expert once on its contiguous slice of slot
 rows, and returns the gate-weighted sum over each token's K slots.
 """
@@ -125,12 +126,16 @@ def noisy_topk_gate(
     return GateDecision(probs, selected, gate_values, mask)
 
 
-def expert_forward(x: Tensor, expert: tuple[Tensor, Tensor]) -> Tensor:
-    """One expert FFN: relu(x W1) W2."""
+def expert_forward(x: Tensor, expert: tuple, decision: GateDecision | None = None) -> Tensor:
+    """Expert FFN relu(x W1) W2: one (W1, W2) pair run on every row, or, given ``decision``,
+    a bank's (W1s, W2s) lists, each row run through its K selected experts and summed by gate value."""
     w1, w2 = expert
-    if x.shape[-1] != w1.shape[0]:
-        raise DimensionError(f"expert_forward: x {x.shape} vs W1 {w1.shape}")
-    return T.relu(x @ w1) @ w2
+    first = w1 if decision is None else w1[0]
+    if x.shape[-1] != first.shape[0]:
+        raise DimensionError(f"expert_forward: x {x.shape} vs W1 {first.shape}")
+    if decision is None:
+        return T.relu(x @ w1) @ w2
+    return T.routed_experts(x, w1, w2, decision.selected, decision.gate_values)
 
 
 def moe_forward(x: Tensor, bank: ExpertBank, decision: GateDecision) -> Tensor:
@@ -139,7 +144,7 @@ def moe_forward(x: Tensor, bank: ExpertBank, decision: GateDecision) -> Tensor:
         raise ConfigurationError(
             f"decision has {decision.num_experts} experts, bank has {bank.num_experts}"
         )
-    return T.routed_experts(x, bank.w1, bank.w2, decision.selected, decision.gate_values)
+    return expert_forward(x, (bank.w1, bank.w2), decision)
 
 
 def moe_share_forward(

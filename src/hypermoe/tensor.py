@@ -101,17 +101,13 @@ class Tensor:
             self._owns_grad = True
 
     def accumulate_at(self, key, g: Array) -> None:
-        """Add ``g`` into ``grad[key]`` on an owned buffer; repeated indices in ``key`` add up.
-        Strictly increasing 1-D ids cannot repeat and take a fancy-index ``+=``."""
+        """Add ``g`` into ``grad[key]`` on an owned buffer; repeated indices in ``key`` add up."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         elif not self._owns_grad:
             self.grad = np.array(self.grad)
         self._owns_grad = True
-        if isinstance(key, np.ndarray) and key.ndim == 1 and np.all(key[1:] > key[:-1]):
-            self.grad[key] += g
-        else:
-            np.add.at(self.grad, key, g)
+        np.add.at(self.grad, key, g)
 
     def backward(self) -> None:
         backward(self)
@@ -443,7 +439,7 @@ def routed_experts(x: Tensor, w1: Sequence[Tensor], w2: Sequence[Tensor], select
         dx, dw1, dw2 = _grouped_ffn_back(gy, k, state, w1d, w2d)
         if x.requires_grad:
             x.accumulate_grad(dx)
-        for u in np.unique(selected):
+        for u, _, _ in state[1]:
             for w, d in ((w1[u], dw1[u]), (w2[u], dw2[u])):
                 if w.requires_grad:
                     w.accumulate_grad(d)
