@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypermoe import tensor as T
-from hypermoe.errors import ConfigurationError
+from hypermoe.errors import ConfigurationError, DimensionError
 from hypermoe.moe import (
     ExpertBank,
     GateConfig,
@@ -180,6 +180,12 @@ class TestMoeForward:
         dec = decision_from_probs(np.full((1, 3), 1 / 3), [[0]])
         with pytest.raises(ConfigurationError):
             moe_forward(Tensor(np.zeros((1, 4))), bank, dec)
+
+    def test_width_mismatch_names_both_shapes(self):
+        bank = make_bank(4, 6, 2)
+        dec = decision_from_probs(np.full((1, 2), 0.5), [[1]])
+        with pytest.raises(DimensionError, match=r"x \(1, 3\) vs W1 \(4, 6\)"):
+            moe_forward(Tensor(np.zeros((1, 3))), bank, dec)
 
     def test_gradients_flow_to_gate_and_experts(self):
         h, n = 4, 3
