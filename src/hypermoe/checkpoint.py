@@ -2,8 +2,10 @@
 
 Layout: 8-byte magic, little-endian uint64 manifest length, UTF-8 JSON
 manifest, then every parameter's float64 little-endian buffer at the offset
-the manifest records. The manifest carries a sha256 of the payload, the
-config snapshot, and the step count.
+the manifest records. The manifest carries its format number, a sha256 of
+the payload, the config snapshot, and the step count. Format 2 stores each
+layer's expert bank as two stacked parameters, ``l{i}.experts.w1`` and
+``l{i}.experts.w2``; format 1 stored one pair per expert and is not read.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import struct
 import numpy as np
 
 from .config import ModelConfig
-from .errors import IntegrityError
+from .errors import ConfigurationError, IntegrityError
 from .model import Model
 
 MAGIC = b"HMOECKPT"
+FORMAT = 2
 
 
 def save_checkpoint(model: Model, path: str, step: int = 0) -> None:
@@ -34,7 +37,7 @@ def save_checkpoint(model: Model, path: str, step: int = 0) -> None:
         )
         payload += buf
     manifest = {
-        "format": 1,
+        "format": FORMAT,
         "step": step,
         "config": model.cfg.to_dict(),
         "params": entries,
@@ -56,7 +59,7 @@ def save_checkpoint(model: Model, path: str, step: int = 0) -> None:
         raise
 
 
-REQUIRED_KEYS = ("step", "config", "params", "sha256")
+REQUIRED_KEYS = ("format", "step", "config", "params", "sha256")
 
 
 def _read(path: str) -> tuple[dict, memoryview]:
@@ -83,20 +86,44 @@ def _read(path: str) -> tuple[dict, memoryview]:
 def load_checkpoint(path: str) -> tuple[Model, int]:
     """Rebuild the model; parameters are bit-exact copies of the saved ones.
 
-    Every parameter of the model must be in the checkpoint, with the model's
-    shape, and the checkpoint may name no other; otherwise no model is returned.
+    Every parameter of the model must be in the checkpoint once, with the
+    model's shape, and the checkpoint may name no other; otherwise no model
+    is returned.
     """
     manifest, payload = _read(path)
     missing = [key for key in REQUIRED_KEYS if key not in manifest] if isinstance(manifest, dict) else REQUIRED_KEYS
     if missing:
         raise IntegrityError(f"{path}: manifest lacks {', '.join(missing)}")
+    if manifest["format"] != FORMAT:
+        raise IntegrityError(f"{path}: checkpoint format {json.dumps(manifest['format'])}, this version reads {FORMAT}")
     if hashlib.sha256(payload).hexdigest() != manifest["sha256"]:
         raise IntegrityError(f"{path}: payload checksum mismatch (truncated or corrupt)")
+    if type(manifest["params"]) is not list:
+        raise IntegrityError(f"{path}: manifest params must be a list, got {type(manifest['params']).__name__}")
+    try:
+        if type(manifest["config"]) is not dict:
+            raise ConfigurationError(f"a config must be a JSON object, got {type(manifest['config']).__name__}")
+        model = Model(ModelConfig.from_dict(manifest["config"]), init=False)
+    except ConfigurationError as e:
+        raise IntegrityError(f"{path}: invalid embedded config: {e}") from e
 
-    model = Model(ModelConfig.from_dict(manifest["config"]), init=False)
     loaded = set()
     for entry in manifest["params"]:
+        if not (
+            type(entry) is dict
+            and type(entry.get("name")) is str
+            and type(entry.get("shape")) is list
+            and all(type(d) is int for d in entry["shape"])
+            and type(entry.get("offset")) is int
+            and entry["offset"] >= 0
+        ):
+            raise IntegrityError(
+                f"{path}: manifest entry {json.dumps(entry)} needs a str name, "
+                "a list-of-int shape and an int offset >= 0"
+            )
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        if name in loaded:
+            raise IntegrityError(f"{path}: manifest lists parameter {name!r} twice")
         if name not in model.params:
             raise IntegrityError(f"{path}: manifest names unknown parameter {name!r}")
         param = model.params[name]

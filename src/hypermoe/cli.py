@@ -132,7 +132,8 @@ GRADCHECK_MAX_PARAMS = 100_000
 
 
 def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[dict]:
-    """Analytic vs central-difference gradients, one row per parameter group."""
+    """Analytic vs central-difference gradients, one row per parameter group and one per
+    expert of a stacked bank (``l0.experts.w1[2]``), so each error is scaled by its own largest gradient."""
     model = build_model(cfg)
     if model.total_params() >= GRADCHECK_MAX_PARAMS:
         raise ConfigurationError(
@@ -154,19 +155,21 @@ def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[dict]:
 
     rows = []
     for name, p in model.params.items():
-        def f(candidate: Tensor, _p=p) -> float:
-            saved = _p.data
-            _p.data = candidate.data
-            try:
-                with T.no_grad():
-                    return loss_value().item()
-            finally:
-                _p.data = saved
+        groups = [(f"{name}[{e}]", e) for e in range(len(p.data))] if ".experts." in name else [(name, ...)]
+        for group, key in groups:
+            def f(candidate: Tensor, _p=p, _key=key) -> float:
+                saved = _p.data[_key].copy()
+                _p.data[_key] = candidate.data
+                try:
+                    with T.no_grad():
+                        return loss_value().item()
+                finally:
+                    _p.data[_key] = saved
 
-        fd = finite_diff_grad(f, Tensor(p.data), step=1e-5)
-        scale = max(np.max(np.abs(fd)), 1e-6)
-        err = float(np.max(np.abs(analytic[name] - fd)) / scale)
-        rows.append({"group": name, "max_rel_error": err, "passed": err < tol})
+            fd = finite_diff_grad(f, Tensor(p.data[key].copy()), step=1e-5)
+            scale = max(np.max(np.abs(fd)), 1e-6)
+            err = float(np.max(np.abs(analytic[name][key] - fd)) / scale)
+            rows.append({"group": group, "max_rel_error": err, "passed": err < tol})
     return rows
 
 

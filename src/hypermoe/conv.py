@@ -133,6 +133,6 @@ def stack_expert_weights(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
 
 
 def compress_expert_weights(bank: ExpertBank, pipeline: ConvPipeline) -> Tensor:
-    """One embedding row per expert: stack all pairs, convolve them as one batch, flatten."""
-    images = stack_expert_weights(np.stack([w.data for w in bank.w1]), np.stack([w.data for w in bank.w2]))
-    return Tensor(pipeline.forward(images).reshape(len(bank.w1), pipeline.spec.out_dim))
+    """One embedding row per expert: the bank's stacks as one batch of images, convolved and flattened."""
+    images = stack_expert_weights(bank.w1.data, bank.w2.data)
+    return Tensor(pipeline.forward(images).reshape(bank.num_experts, pipeline.spec.out_dim))

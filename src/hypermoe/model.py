@@ -66,12 +66,15 @@ class Model:
 
     # -- construction -------------------------------------------------------
 
-    def _param(self, name: str, shape: tuple[int, ...], std: float) -> Tensor:
-        """New parameter drawn from a stream keyed by (seed, name)."""
+    def _param(self, name: str, shape: tuple[int, ...], std: float, row_streams: list[str] | None = None) -> Tensor:
+        """New parameter drawn from a stream keyed by (seed, name), or with row r drawn from
+        the stream keyed by (seed, row_streams[r])."""
         if name in self.params:
             raise ConfigurationError(f"duplicate parameter {name}")
         if not self._init:  # the caller fills every parameter, as load_checkpoint does
             data = np.empty(shape)
+        elif row_streams is not None:
+            data = np.stack([self._rng.spawn(key).gaussian(*shape[1:], std=std) for key in row_streams])
         else:
             data = self._rng.spawn(name).gaussian(*shape, std=std) if std > 0 else np.zeros(shape)
         p = Tensor(data, requires_grad=True)
@@ -128,9 +131,11 @@ class Model:
                 self._param(f"l{i}.gate.wnoise", (h, cfg.n_experts), inv_h),
                 renormalize=cfg.renormalize_gate,
             )
+            # row e draws from stream l{i}.expert{e}.w*, so init values do not depend on the stacking
+            n = cfg.n_experts
             blk["bank"] = ExpertBank(
-                [self._param(f"l{i}.expert{e}.w1", (h, d_ff), inv_h) for e in range(cfg.n_experts)],
-                [self._param(f"l{i}.expert{e}.w2", (d_ff, h), inv_ff) for e in range(cfg.n_experts)],
+                self._param(f"l{i}.experts.w1", (n, h, d_ff), inv_h, [f"l{i}.expert{e}.w1" for e in range(n)]),
+                self._param(f"l{i}.experts.w2", (n, d_ff, h), inv_ff, [f"l{i}.expert{e}.w2" for e in range(n)]),
             )
             if cfg.layer_kind == "moe_share":
                 blk["shared"] = SharedMlp(
@@ -240,6 +245,7 @@ class Model:
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.grad = None
+            p.grad_rows = None
 
     def total_params(self) -> int:
         return sum(p.size for p in self.params.values())

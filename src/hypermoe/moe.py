@@ -4,11 +4,14 @@ Noisy top-k gating over N expert FFNs, sparse combination of the selected
 experts' outputs, the load-balancing auxiliary loss, and the MoE-Share
 baseline (routed experts plus one always-on shared MLP).
 
-Dispatch is slot-ordered: each token's K routing decisions are T*K flat
-slots. ``expert_forward``, given the gate decision, records one
-``tensor.routed_experts`` node per layer: it sorts the slots by
-expert once, runs each used expert once on its contiguous slice of slot
-rows, and returns the gate-weighted sum over each token's K slots.
+A layer's N experts are stored stacked: one W1 of shape (N, h, d_ff) and one
+W2 of shape (N, d_ff, h), whose row e is expert e. Dispatch is slot-ordered:
+each token's K routing decisions are T*K flat slots. ``expert_forward``,
+given the gate decision, records one ``tensor.routed_experts`` node per
+layer: it sorts the slots by expert once, runs each used expert once on its
+contiguous slice of slot rows, and returns the gate-weighted sum over each
+token's K slots. The node records which expert rows it ran, so the optimizer
+leaves an unused expert untouched.
 """
 
 from __future__ import annotations
@@ -67,22 +70,19 @@ class GateDecision:
 
 @dataclass
 class ExpertBank:
-    """The N expert FFNs of one MoE layer."""
+    """The N expert FFNs of one MoE layer, stacked: row e of ``w1`` and ``w2`` is expert e."""
 
-    w1: list[Tensor]  # each (h, d_ff)
-    w2: list[Tensor]  # each (d_ff, h)
+    w1: Tensor  # (N, h, d_ff)
+    w2: Tensor  # (N, d_ff, h)
 
     def __post_init__(self) -> None:
-        if len(self.w1) != len(self.w2) or not self.w1:
-            raise ConfigurationError("expert bank needs matching nonempty w1/w2 lists")
-        s1, s2 = self.w1[0].shape, self.w2[0].shape
-        for a, b in zip(self.w1, self.w2):
-            if a.shape != s1 or b.shape != s2:
-                raise ConfigurationError("all experts must share identical shapes")
+        s1, s2 = self.w1.shape, self.w2.shape
+        if len(s1) != 3 or s2 != (s1[0], s1[2], s1[1]):
+            raise ConfigurationError(f"expert bank needs stacks (N, h, d_ff) and (N, d_ff, h), got {s1} and {s2}")
 
     @property
     def num_experts(self) -> int:
-        return len(self.w1)
+        return self.w1.shape[0]
 
 
 @dataclass
@@ -128,11 +128,10 @@ def noisy_topk_gate(
 
 def expert_forward(x: Tensor, expert: tuple, decision: GateDecision | None = None) -> Tensor:
     """Expert FFN relu(x W1) W2: one (W1, W2) pair run on every row, or, given ``decision``,
-    a bank's (W1s, W2s) lists, each row run through its K selected experts and summed by gate value."""
+    a bank's (W1, W2) stacks, each row run through its K selected experts and summed by gate value."""
     w1, w2 = expert
-    first = w1 if decision is None else w1[0]
-    if x.shape[-1] != first.shape[0]:
-        raise DimensionError(f"expert_forward: x {x.shape} vs W1 {first.shape}")
+    if x.shape[-1] != w1.shape[-2]:
+        raise DimensionError(f"expert_forward: x {x.shape} vs W1 {w1.shape[-2:]}")
     if decision is None:
         return T.relu(x @ w1) @ w2
     return T.routed_experts(x, w1, w2, decision.selected, decision.gate_values)

@@ -16,6 +16,10 @@ from .config import ModelConfig
 from .errors import ConfigurationError
 from .tensor import Rng
 
+# Largest n_groups * operand_range**2 that GroupedModularAddition enumerates:
+# about 80 bytes of index arrays per instance, so some 84 MB at the limit.
+MAX_INSTANCES = 1 << 20
+
 
 @dataclass
 class GroupedModularAddition:
@@ -46,6 +50,11 @@ class GroupedModularAddition:
         self.num_classes = max(self.moduli)
         self.seq_len = 3
         space = self.n_groups * self.operand_range**2
+        if space > MAX_INSTANCES:
+            raise ConfigurationError(
+                f"moduli {self.moduli} and operand_range {self.operand_range} give {space} instances "
+                f"(n_groups * operand_range^2); at most {MAX_INSTANCES} are enumerated"
+            )
         if self.train_size + self.eval_size > space:
             raise ConfigurationError(
                 f"train+eval ({self.train_size}+{self.eval_size}) exceeds instance space {space}"

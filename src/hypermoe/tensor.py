@@ -65,11 +65,12 @@ def no_grad():
 class Tensor:
     """Row-major float64 n-d array with an optional accumulated gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
+    __slots__ = ("data", "grad", "grad_rows", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
+        self.grad_rows: Array | None = None
         self.requires_grad = requires_grad
         self._parents: tuple["Tensor", ...] = ()
         self._backward: Callable[[Array], None] | None = None
@@ -86,15 +87,23 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def accumulate_grad(self, g: Array) -> None:
+    def accumulate_grad(self, g: Array, rows: Array | None = None) -> None:
         """Add ``g`` into ``grad``. The first gradient is kept as handed over, borrowed
         (rules hand on their ``g``, views of it, or one array to several inputs)
         and never written into; a second one is added out of place into an owned
-        sum, which later ones add into in place until ``backward`` hands it on."""
+        sum, which later ones add into in place until ``backward`` hands it on.
+
+        ``rows``, when given, lists the only rows along axis 0 where ``g`` may be
+        nonzero; ``grad_rows`` keeps the union of them, or None once a gradient
+        covered every row. Adam updates only those rows."""
         if self.grad is None:
-            self.grad = g
-            self._owns_grad = False
-        elif self._owns_grad:
+            self.grad, self.grad_rows, self._owns_grad = g, rows, False
+            return
+        if rows is None or self.grad_rows is None:
+            self.grad_rows = None
+        else:
+            self.grad_rows = np.union1d(self.grad_rows, rows)
+        if self._owns_grad:
             self.grad += g
         else:
             self.grad = self.grad + g
@@ -107,6 +116,7 @@ class Tensor:
         elif not self._owns_grad:
             self.grad = np.array(self.grad)
         self._owns_grad = True
+        self.grad_rows = None
         np.add.at(self.grad, key, g)
 
     def backward(self) -> None:
@@ -383,19 +393,20 @@ def take_per_row(x: Tensor, idx: Array) -> Tensor:
     return _record(out, (x,), back)
 
 
-def _grouped_ffn(x: Array, ids: Array, k: int, w1, w2) -> tuple[Array, tuple]:
-    """Row r's FFN relu(x[r // k] W1_u) W2_u, u = ids[r], in row order, and the state its backward needs.
+def _grouped_ffn(x: Array, ids: Array, k: int, w1: Array, w2: Array) -> tuple[Array, tuple]:
+    """Row r's FFN relu(x[r // k] W1[u]) W2[u], u = ids[r], in row order, and the state its backward needs.
 
-    The rows are sorted by id once, and each id present runs as two GEMMs on
-    its contiguous slice, into one hidden and one output buffer.
+    ``w1`` and ``w2`` are (N, ...) stacks. The rows are sorted by id once, and
+    each id present runs as two GEMMs on its contiguous slice, into one hidden
+    and one output buffer.
     """
     order = np.argsort(ids, kind="stable")
     counts = np.bincount(ids, minlength=len(w1))
     ends = np.cumsum(counts)
     spans = [(u, ends[u] - counts[u], ends[u]) for u in np.flatnonzero(counts)]
     xs = x[order // k]
-    hidden = np.empty((len(ids), w1[0].shape[1]))
-    ys = np.empty((len(ids), w2[0].shape[1]))
+    hidden = np.empty((len(ids), w1.shape[2]))
+    ys = np.empty((len(ids), w2.shape[2]))
     for u, s, e in spans:
         np.matmul(xs[s:e], w1[u], out=hidden[s:e])
         np.maximum(hidden[s:e], 0.0, out=hidden[s:e])
@@ -405,13 +416,13 @@ def _grouped_ffn(x: Array, ids: Array, k: int, w1, w2) -> tuple[Array, tuple]:
     return y, (order, spans, xs, hidden)
 
 
-def _grouped_ffn_back(gy: Array, k: int, state: tuple, w1, w2) -> tuple[Array, Array, Array]:
-    """For the row-order output gradient ``gy`` of ``_grouped_ffn``: the gradients of x and of
-    the stacked W1 and W2, zero for an id with no row."""
+def _grouped_ffn_back(gy: Array, k: int, state: tuple, w1: Array, w2: Array) -> tuple[Array, Array, Array]:
+    """For the row-order output gradient ``gy`` of ``_grouped_ffn``: the gradient of x, and the
+    (N, ...) gradient stacks of W1 and W2, whose row u is zero when no row ran through id u."""
     order, spans, xs, hidden = state
     gs = gy[order]
     dxs = np.empty_like(xs)
-    dw1, dw2 = np.zeros((len(w1), *w1[0].shape)), np.zeros((len(w2), *w2[0].shape))
+    dw1, dw2 = np.zeros_like(w1), np.zeros_like(w2)
     for u, s, e in spans:
         d_pre = gs[s:e] @ w2[u].T
         d_pre *= hidden[s:e] > 0.0
@@ -423,11 +434,12 @@ def _grouped_ffn_back(gy: Array, k: int, state: tuple, w1, w2) -> tuple[Array, A
     return dx.reshape(-1, k, dx.shape[1]).sum(axis=1), dw1, dw2
 
 
-def routed_experts(x: Tensor, w1: Sequence[Tensor], w2: Sequence[Tensor], selected: Array, gates: Tensor) -> Tensor:
-    """out[t] = sum_k gates[t, k] relu(x[t] W1_e) W2_e with e = selected[t, k], the T*K slots run grouped by expert;
-    an expert no slot selects is neither run nor given a gradient."""
+def routed_experts(x: Tensor, w1: Tensor, w2: Tensor, selected: Array, gates: Tensor) -> Tensor:
+    """out[t] = sum_k gates[t, k] relu(x[t] W1[e]) W2[e] with e = selected[t, k], over the expert
+    stacks W1 (N, h, d_ff) and W2 (N, d_ff, h); the T*K slots run grouped by expert. An expert no
+    slot selects is not run, and the stacks' ``grad_rows`` leave its row out."""
     n, k = selected.shape
-    w1d, w2d = [w.data for w in w1], [w.data for w in w2]
+    w1d, w2d = w1.data, w2.data
     y, state = _grouped_ffn(x.data, selected.reshape(-1), k, w1d, w2d)
     y = y.reshape(n, k, -1)
     out = Tensor(np.matmul(gates.data[:, None, :], y)[:, 0])
@@ -439,12 +451,12 @@ def routed_experts(x: Tensor, w1: Sequence[Tensor], w2: Sequence[Tensor], select
         dx, dw1, dw2 = _grouped_ffn_back(gy, k, state, w1d, w2d)
         if x.requires_grad:
             x.accumulate_grad(dx)
-        for u, _, _ in state[1]:
-            for w, d in ((w1[u], dw1[u]), (w2[u], dw2[u])):
-                if w.requires_grad:
-                    w.accumulate_grad(d)
+        used = np.array([u for u, _, _ in state[1]])
+        for w, d in ((w1, dw1), (w2, dw2)):
+            if w.requires_grad:
+                w.accumulate_grad(d, used)
 
-    return _record(out, (x, gates, *w1, *w2), back)
+    return _record(out, (x, gates, w1, w2), back)
 
 
 def generated_expert(

@@ -19,7 +19,14 @@ EVAL_CHUNK = 512  # samples per evaluation forward
 
 
 class Adam:
-    """Adam with linear learning-rate warm-up over the first warmup_steps."""
+    """Adam with linear learning-rate warm-up over the first warmup_steps.
+
+    Each update runs in place, through two temporaries that it reuses. A
+    parameter with no gradient is left untouched, moments included. A
+    parameter with ``grad_rows`` (an expert stack) is updated row by row in
+    those rows only, so an expert no token was routed to keeps its weights
+    and moments.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -47,13 +54,26 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * p.grad
-            v *= b2
-            v += (1.0 - b2) * p.grad * p.grad
-            p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            m, v = self._m[name], self._v[name]
+            views = [(p.data, p.grad, m, v)]
+            if p.grad_rows is not None:
+                views = [(p.data[r], p.grad[r], m[r], v[r]) for r in p.grad_rows]
+            for w, g, m, v in views:
+                # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+                # w -= lr (m / bias1) / (sqrt(v / bias2) + eps), each in this operation order
+                s = np.multiply(g, 1.0 - b1)
+                m *= b1
+                m += s
+                v *= b2
+                np.multiply(g, 1.0 - b2, out=s)
+                v += np.multiply(s, g, out=s)
+                np.divide(m, bias1, out=s)
+                s *= lr
+                t = np.divide(v, bias2)
+                np.sqrt(t, out=t)
+                t += self.eps
+                s /= t
+                w -= s
 
 
 def task_loss(result: ForwardResult, targets, kind: str) -> Tensor:

@@ -46,8 +46,8 @@ def random_layer(rng: Rng, zero_generator: bool):
         n, k, False, Tensor(rng.gaussian(h, n)), Tensor(rng.gaussian(h, n))
     )
     bank = ExpertBank(
-        [Tensor(rng.gaussian(h, d_ff)) for _ in range(n)],
-        [Tensor(rng.gaussian(d_ff, h)) for _ in range(n)],
+        Tensor(np.stack([rng.gaussian(h, d_ff) for _ in range(n)])),
+        Tensor(np.stack([rng.gaussian(d_ff, h) for _ in range(n)])),
     )
     gen = (lambda *s: np.zeros(s)) if zero_generator else (lambda *s: rng.gaussian(*s))
     hyper = HyperComponents(

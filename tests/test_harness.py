@@ -4,6 +4,7 @@ import errno
 import gc
 import json
 import os
+import re
 import struct
 import weakref
 from dataclasses import fields
@@ -21,8 +22,8 @@ from hypermoe.config import EMBEDDING_SOURCES, FIELD_RULES, LAYER_KINDS, TASKS, 
 from hypermoe.errors import ConfigurationError, IntegrityError
 from hypermoe.model import build_model
 from hypermoe.tasks import GroupedModularAddition, build_task, generate_task_batch
-from hypermoe.tensor import Rng
-from hypermoe.training import evaluate, make_optimizer, train_model, train_step, utilization_histogram
+from hypermoe.tensor import Rng, Tensor
+from hypermoe.training import Adam, evaluate, make_optimizer, train_model, train_step, utilization_histogram
 
 
 def tiny_cfg(**kw):
@@ -174,6 +175,23 @@ class TestGroupedModularAddition:
         with pytest.raises(ConfigurationError):
             GroupedModularAddition([2], seed=0, train_size=100, eval_size=100, operand_range=2)
 
+    @pytest.mark.parametrize(
+        "raw,named",
+        [
+            ({"moduli": [1000003], "steps": 1}, "moduli"),
+            ({"moduli": [1025], "steps": 1}, "moduli"),
+            ({"moduli": [2, 2], "operand_range": 1024, "steps": 1}, "operand_range 1024"),
+        ],
+        ids=["huge-modulus", "just-above", "operand-range"],
+    )
+    def test_instance_space_bound_exits_2(self, raw, named, tmp_path, capsys):
+        # checked before the pool is enumerated: n_groups * operand_range^2 triples
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and err.count("\n") == 1
+
     def test_build_task_kind(self):
         assert build_task(tiny_cfg()).kind == "classification"
         assert build_task(tiny_cfg(task="piecewise_regression")).kind == "regression"
@@ -204,6 +222,49 @@ class TestTraining:
         rows_a = train_model(build_model(cfg))
         rows_b = train_model(build_model(cfg))
         assert rows_a == rows_b
+
+    def test_train_step_leaves_unused_expert_rows_untouched(self):
+        # 6 tokens over 8 experts leave some expert unused; with nonzero moments
+        # an update of its rows would move them even at a zero gradient
+        n = 8
+        model = build_model(tiny_cfg(layer_kind="moe", n_experts=n, n_layers=1))
+        opt = make_optimizer(model)
+        for name in opt._m:
+            opt._m[name][...] = 0.1
+            opt._v[name][...] = 0.01
+        names = ("l0.experts.w1", "l0.experts.w2")
+        before = {name: [a.copy() for a in (model.params[name].data, opt._m[name], opt._v[name])] for name in names}
+        inputs, targets = generate_task_batch(model.task, Rng(0), 2)
+        result, *_ = train_step(model, opt, inputs, targets, Rng(1))
+        used = set(result.decisions[0].selected.ravel().tolist())
+        assert 0 < len(used) < n
+        for name in names:
+            after = (model.params[name].data, opt._m[name], opt._v[name])
+            for e in range(n):
+                for old, new in zip(before[name], after):
+                    assert np.array_equal(old[e], new[e]) == (e not in used), (name, e)
+
+    def test_adam_matches_out_of_place_formulas(self):
+        # weights start at zero, so each step's update is not rounded away against them
+        rng = Rng(5)
+        params = {"a": Tensor(np.zeros((6, 7))), "b": Tensor(np.zeros(9))}
+        want = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(w) for k, w in want.items()}
+        v = {k: np.zeros_like(w) for k, w in want.items()}
+        opt = Adam(params, lr=1e-2, warmup_steps=2, total_steps=6)
+        b1, b2 = Adam.beta1, Adam.beta2
+        for t in range(1, 8):
+            lr = 1e-2 * min(1.0, t / 2)
+            if t > 2:
+                lr *= 0.55 + 0.45 * np.cos(np.pi * min(1.0, (t - 2) / 4))
+            for k, p in params.items():
+                p.grad = g = rng.gaussian(*p.shape)
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                want[k] = want[k] - lr * (m[k] / (1.0 - b1**t)) / (np.sqrt(v[k] / (1.0 - b2**t)) + Adam.eps)
+            opt.step()
+            for k, p in params.items():
+                assert np.array_equal(p.data, want[k]), (t, k)
 
     def test_different_seed_differs(self):
         rows_a = train_model(build_model(tiny_cfg(layer_kind="moe", steps=5, seed=0)))
@@ -458,6 +519,36 @@ class TestCheckpointManifest:
         rewrite_manifest(path, reshape_bias)
         with pytest.raises(IntegrityError, match="head.b"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: m.update(format=1), "format 1, this version reads 2"),
+            (lambda m: m.update(format="2"), 'format "2", this version reads 2'),
+            (lambda m: m.update(params={}), "params must be a list"),
+            (lambda m: m["params"].append([1]), r"entry \[1\] needs"),
+            (lambda m: entry(m, "head.b").update(name=7), "needs a str name"),
+            (lambda m: entry(m, "head.b").update(shape=[2.0]), "list-of-int shape"),
+            (lambda m: entry(m, "head.b").pop("offset"), "int offset >= 0"),
+            (lambda m: entry(m, "head.b").update(offset=-16), "int offset >= 0"),
+            (lambda m: m["params"].append(dict(entry(m, "head.b"))), "'head.b' twice"),
+            (lambda m: m.update(config="x"), "invalid embedded config: a config must be a JSON object, got str"),
+            (lambda m: m["config"].update(h=0), "invalid embedded config: h must be"),
+            (lambda m: m["config"].update(moduli=[1025]), "invalid embedded config: moduli"),
+        ],
+        ids=[
+            "format-1", "format-str", "params-not-list", "entry-not-object", "name-not-str", "shape-not-ints",
+            "offset-missing", "offset-negative", "name-twice", "config-not-object", "config-bad-field",
+            "config-pool-too-large",
+        ],
+    )
+    def test_malformed_manifest_exits_4(self, path, edit, message, capsys):
+        rewrite_manifest(path, edit)
+        with pytest.raises(IntegrityError, match=f"^{re.escape(path)}: .*{message}"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", path]) == EXIT_INTEGRITY
+        err = capsys.readouterr().err
+        assert err.startswith("integrity error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key", REQUIRED_KEYS)
     def test_missing_key_exits_4(self, path, key, capsys):

@@ -370,7 +370,7 @@ class TestHypermoeForward:
             "w_down": hyper.hn.w_down,
             "w_up": hyper.hn.w_up,
             "gate": gate.w_gate,
-            "expert0.w1": bank.w1[0],
+            "experts.w1": bank.w1,
         }
 
         dec = noisy_topk_gate(x, gate)

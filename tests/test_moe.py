@@ -31,8 +31,8 @@ def make_gate(h, n, k=1, noise=False, seed=0, w_gate=None):
 def make_bank(h, d_ff, n, seed=1):
     rng = Rng(seed)
     return ExpertBank(
-        [Tensor(rng.gaussian(h, d_ff), requires_grad=True) for _ in range(n)],
-        [Tensor(rng.gaussian(d_ff, h), requires_grad=True) for _ in range(n)],
+        Tensor(np.stack([rng.gaussian(h, d_ff) for _ in range(n)]), requires_grad=True),
+        Tensor(np.stack([rng.gaussian(d_ff, h) for _ in range(n)]), requires_grad=True),
     )
 
 
@@ -121,7 +121,7 @@ class TestExpertForward:
 
     def test_zero_input(self):
         bank = make_bank(4, 8, 1)
-        out = expert_forward(Tensor(np.zeros((1, 4))), (bank.w1[0], bank.w2[0]))
+        out = expert_forward(Tensor(np.zeros((1, 4))), (Tensor(bank.w1.data[0]), Tensor(bank.w2.data[0])))
         assert np.all(out.data == 0.0)
 
     def test_identity_pipeline(self):
@@ -132,15 +132,15 @@ class TestExpertForward:
 class TestMoeForward:
     def test_forced_gate_identity_expert(self):
         x = Tensor([[0.5, 2.0]])
-        bank = ExpertBank([Tensor(np.eye(2))], [Tensor(np.eye(2))])
+        bank = ExpertBank(Tensor(np.eye(2)[None]), Tensor(np.eye(2)[None]))
         dec = decision_from_probs([[1.0]], [[0]])
         out = moe_forward(x, bank, dec)
         assert np.allclose(out.data, [[0.5, 2.0]])
 
     def test_all_zero_experts(self):
         bank = ExpertBank(
-            [Tensor(Rng(0).gaussian(4, 8)) for _ in range(2)],
-            [Tensor(np.zeros((8, 4))) for _ in range(2)],
+            Tensor(np.stack([Rng(0).gaussian(4, 8) for _ in range(2)])),
+            Tensor(np.stack([np.zeros((8, 4)) for _ in range(2)])),
         )
         dec = decision_from_probs(np.full((3, 2), 0.5), [[0], [1], [0]])
         out = moe_forward(Tensor(Rng(1).gaussian(3, 4)), bank, dec)
@@ -157,23 +157,31 @@ class TestMoeForward:
         dense = np.zeros((t, h))
         masked = dec.router_probs.data * dec.binary_mask
         for e in range(n):
-            ye = np.maximum(x.data @ bank.w1[e].data, 0.0) @ bank.w2[e].data
+            ye = np.maximum(x.data @ bank.w1.data[e], 0.0) @ bank.w2.data[e]
             dense += masked[:, e : e + 1] * ye
         assert np.max(np.abs(out.data - dense)) < 1e-12
 
     def test_unselected_experts_never_evaluated(self):
         # poison expert 1 with NaN; it is never selected, so output and every
-        # gradient stay finite, and its weights get no gradient at all: a zero
-        # one would still move their Adam moments
+        # gradient stay finite, its gradient rows are exactly zero, and the
+        # stacks' grad_rows leave it out: Adam must not move its moments
         bank = make_bank(4, 6, 2)
-        bank.w1[1].data[:] = np.nan
+        bank.w1.data[1] = np.nan
         dec = decision_from_probs(np.full((3, 2), 0.5), [[0], [0], [0]])
         x = Tensor(Rng(4).gaussian(3, 4), requires_grad=True)
         out = moe_forward(x, bank, dec)
         T.tsum(out * out).backward()
         assert np.all(np.isfinite(out.data))
-        assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(bank.w1[0].grad))
-        assert bank.w1[1].grad is None and bank.w2[1].grad is None
+        assert np.all(np.isfinite(x.grad))
+        for w in (bank.w1, bank.w2):
+            assert np.all(np.isfinite(w.grad)) and np.any(w.grad[0] != 0)
+            assert np.all(w.grad[1] == 0.0)
+            assert w.grad_rows.tolist() == [0]
+
+    @pytest.mark.parametrize("s1,s2", [((2, 4, 6), (3, 6, 4)), ((2, 4, 6), (2, 4, 6)), ((4, 6), (6, 4))])
+    def test_bank_rejects_mismatched_stacks(self, s1, s2):
+        with pytest.raises(ConfigurationError, match="expert bank needs stacks"):
+            ExpertBank(Tensor(np.zeros(s1)), Tensor(np.zeros(s2)))
 
     def test_expert_count_mismatch(self):
         bank = make_bank(4, 6, 2)
@@ -198,24 +206,26 @@ class TestMoeForward:
         assert cfg.w_gate.grad is not None and np.any(cfg.w_gate.grad != 0)
         selected_experts = set(dec.selected[:, 0].tolist())
         for e in selected_experts:
-            assert np.any(bank.w1[e].grad != 0)
+            assert np.any(bank.w1.grad[e] != 0)
 
 
-def per_expert_moe(x, bank, decision):
+def per_expert_moe(x, w1s, w2s, decision):
     """The per-expert dispatch moe_forward replaced, kept as its reference.
 
-    Each selected expert gathers its tokens, weights its outputs by their gate
-    values and scatters them into a (T, h) term; the terms are added in expert
-    order. The scatter is a product with a 0/1 placement matrix.
+    ``w1s`` and ``w2s`` hold one Tensor per expert. Each selected expert
+    gathers its tokens, weights its outputs by their gate values and scatters
+    them into a (T, h) term; the terms are added in expert order. The scatter
+    is a product with a 0/1 placement matrix. An expert no token selects is
+    never run and gets no gradient.
     """
     n_tokens, k = decision.selected.shape
     flat_gates = T.reshape(decision.gate_values, (-1, 1))
     out = None
-    for e in range(bank.num_experts):
+    for e in range(len(w1s)):
         token_ids, k_cols = np.nonzero(decision.selected == e)
         if token_ids.size == 0:
             continue
-        ys = expert_forward(T.gather_rows(x, token_ids), (bank.w1[e], bank.w2[e]))
+        ys = expert_forward(T.gather_rows(x, token_ids), (w1s[e], w2s[e]))
         gv = T.gather_rows(flat_gates, token_ids * k + k_cols)
         place = np.zeros((n_tokens, token_ids.size))
         place[token_ids, np.arange(token_ids.size)] = 1.0
@@ -248,25 +258,39 @@ class TestGroupedDispatch:
         np.put_along_axis(mask, selected, 1.0, axis=1)
         gates = Tensor(rng.uniform(n_tokens, k), requires_grad=True)
         dec = GateDecision(Tensor(np.full((n_tokens, n), 1.0 / n)), selected, gates, mask)
-        leaves = [x, gates] + bank.w1 + bank.w2
         weights = Tensor(rng.gaussian(n_tokens, h))
+        w1s = [Tensor(w, requires_grad=True) for w in bank.w1.data]
+        w2s = [Tensor(w, requires_grad=True) for w in bank.w2.data]
 
-        results = []
-        for forward in (moe_forward, per_expert_moe):
-            for t in leaves:
-                t.grad = None
-            out = forward(x, bank, dec)
-            T.tsum(out * weights).backward()
-            results.append([out.data] + [t.grad for t in leaves])
+        out = moe_forward(x, bank, dec)
+        T.tsum(out * weights).backward()
+        got = [out.data, x.grad, gates.grad, *bank.w1.grad, *bank.w2.grad]
+        x.grad = gates.grad = None
+        ref = per_expert_moe(x, w1s, w2s, dec)
+        T.tsum(ref * weights).backward()
+        want = [ref.data, x.grad, gates.grad] + [w.grad for w in w1s + w2s]
 
-        for i, (got, want) in enumerate(zip(*results)):
-            if want is None:
-                assert got is None, i
+        for i, (g, w) in enumerate(zip(got, want)):
+            if w is None:  # an expert the reference never ran: its stack rows are exactly zero
+                assert np.all(g == 0.0), i
                 continue
-            assert got.shape == want.shape, i
-            assert np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0) < 1e-12, i
-        assert sum(t.grad is None for t in bank.w1) == n - len(np.unique(selected))
+            assert g.shape == w.shape, i
+            assert np.max(np.abs(g - w)) / max(np.max(np.abs(w)), 1.0) < 1e-12, i
+        used = np.unique(selected).tolist()
+        for w in (bank.w1, bank.w2):
+            assert w.grad_rows.tolist() == used
+        assert sum(w.grad is None for w in w1s) == n - len(used)
 
+
+    def test_grad_rows_cover_every_use(self):
+        # two calls on one bank add up their rows; a gradient on the whole stack covers every row
+        bank = make_bank(3, 4, 4)
+        x = Tensor(Rng(0).gaussian(2, 3))
+        outs = [moe_forward(x, bank, decision_from_probs(np.full((2, 4), 0.25), sel)) for sel in ([[0], [0]], [[2], [0]])]
+        T.tsum(outs[0] + outs[1]).backward()
+        assert bank.w1.grad_rows.tolist() == [0, 2] and bank.w2.grad_rows.tolist() == [0, 2]
+        T.tsum(bank.w1).backward()
+        assert bank.w1.grad_rows is None and bank.w2.grad_rows.tolist() == [0, 2]
 
     @pytest.mark.parametrize("used", [1, 2, 5, 6])
     def test_one_graph_node_per_call(self, used):
@@ -278,6 +302,7 @@ class TestGroupedDispatch:
         with Tape() as tape:
             moe_forward(x, bank, dec)
         assert len(tape.records) == 1
+        assert tape.records[0]._parents == (x, dec.gate_values, bank.w1, bank.w2)
 
 
 class TestLoadBalanceLoss:
@@ -344,7 +369,7 @@ class TestMoeShare:
 
     def test_zero_bank_identity_shared(self):
         h = 2
-        bank = ExpertBank([Tensor(np.zeros((h, h)))], [Tensor(np.zeros((h, h)))])
+        bank = ExpertBank(Tensor(np.zeros((1, h, h))), Tensor(np.zeros((1, h, h))))
         shared = SharedMlp(Tensor(np.eye(h)), Tensor(np.eye(h)))
         x = Tensor([[3.0, 4.0]])
         dec = decision_from_probs([[1.0]], [[0]])
