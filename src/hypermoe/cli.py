@@ -355,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite loss is reported as a divergence, once
+            return args.func(args)
     except ConfigurationError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,7 +34,7 @@ FIELD_RULES = {
         _integer(1),
     ),
     "seed": _integer(0),
-    **dict.fromkeys(("noise_enabled", "renormalize_gate"), (lambda v: type(v) is bool, "true or false")),
+    "noise_enabled": (lambda v: type(v) is bool, "true or false"),
     "layer_kind": _one_of(LAYER_KINDS),
     "condition_on": _one_of(CONDITION_ON),
     "embedding_source": _one_of(EMBEDDING_SOURCES),
@@ -66,7 +66,6 @@ class ModelConfig:
     layer_kind: str = "hypermoe"
     aux_loss_coef: float = 0.01
     noise_enabled: bool = True
-    renormalize_gate: bool = False
     condition_on: str = "unselected"
     embedding_source: str = "learned"
     # task

@@ -7,6 +7,7 @@ their common parameters. One hypernetwork instance serves all layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,8 @@ from .moe import (
 from .tasks import build_task
 from .tensor import Rng, Tensor
 
+MAX_PARAMS = 2**27  # far above the largest model in use (2.4M parameters); 1 GiB of float64 values
+
 
 def sinusoidal_positions(seq_len: int, h: int) -> np.ndarray:
     pos = np.arange(seq_len)[:, None]
@@ -61,6 +64,7 @@ class Model:
         self._init = init
         self.task = build_task(cfg)
         self.params: dict[str, Tensor] = {}
+        self._n_params = 0
         self._rng = Rng(cfg.seed)
         self._build()
 
@@ -71,6 +75,9 @@ class Model:
         the stream keyed by (seed, row_streams[r])."""
         if name in self.params:
             raise ConfigurationError(f"duplicate parameter {name}")
+        self._n_params += math.prod(shape)
+        if self._n_params > MAX_PARAMS:
+            raise ConfigurationError(f"over {MAX_PARAMS} parameters at {name}; shrink h, d_ff, n_experts or n_layers")
         if not self._init:  # the caller fills every parameter, as load_checkpoint does
             data = np.empty(shape)
         elif row_streams is not None:
@@ -84,7 +91,6 @@ class Model:
     def _build(self) -> None:
         cfg = self.cfg
         h = cfg.h
-        self.positions = Tensor(sinusoidal_positions(self.task.seq_len, h))
         self.embed = self._param("embed", (self.task.vocab_size, h), 0.02)
         if self.task.kind == "regression":
             self.scalar_w = self._param("scalar_in.w", (1, h), 1.0)
@@ -102,6 +108,7 @@ class Model:
             self.conv_pipeline = ConvPipeline(spec, (2, cfg.d_ff, h), self._rng.spawn("conv"))
         else:
             self.conv_pipeline = None
+        self.positions = Tensor(sinusoidal_positions(self.task.seq_len, h))
 
     def _build_block(self, i: int) -> dict:
         cfg = self.cfg
@@ -129,7 +136,6 @@ class Model:
                 cfg.noise_enabled,
                 self._param(f"l{i}.gate.wg", (h, cfg.n_experts), inv_h),
                 self._param(f"l{i}.gate.wnoise", (h, cfg.n_experts), inv_h),
-                renormalize=cfg.renormalize_gate,
             )
             # row e draws from stream l{i}.expert{e}.w*, so init values do not depend on the stacking
             n = cfg.n_experts

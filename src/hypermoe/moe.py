@@ -32,7 +32,6 @@ class GateConfig:
     noise_enabled: bool
     w_gate: Tensor      # (h, N)
     w_noise: Tensor     # (h, N)
-    renormalize: bool = False  # renormalize retained gate values over the top-k set
 
     def __post_init__(self) -> None:
         if not 1 <= self.top_k <= self.num_experts:
@@ -62,10 +61,6 @@ class GateDecision:
     @property
     def num_experts(self) -> int:
         return self.router_probs.shape[1]
-
-    @property
-    def top_k(self) -> int:
-        return self.selected.shape[1]
 
 
 @dataclass
@@ -120,9 +115,6 @@ def noisy_topk_gate(
     np.put_along_axis(mask, selected, 1.0, axis=1)
 
     gate_values = T.take_per_row(probs, selected)
-    if cfg.renormalize:
-        total = T.tsum(gate_values, axis=1)
-        gate_values = gate_values * T.reciprocal(total)
     return GateDecision(probs, selected, gate_values, mask)
 
 

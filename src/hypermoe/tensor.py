@@ -3,10 +3,11 @@
 Every differentiable operation links its output to its inputs (``_parents``)
 and a rule ``back(g)`` that captures the inputs, never the output, so a graph
 is no reference cycle and is freed by refcount. ``backward`` runs the rules of
-the nodes reachable from the loss in reverse topological order, passing each
-node's gradient, borrowed or owned (see ``accumulate_grad``). Under
-``no_grad()`` ops link nothing. An open ``Tape`` only observes: it lists the
-ops that link a graph inside it, and ``backward`` never reads it. Only the
+the nodes reachable from the loss in reverse topological order. A gradient
+enters a tensor only through ``accumulate_grad`` and is never written into, so
+a rule may hand on its ``g``, views of it, or one array to several inputs.
+Under ``no_grad()`` ops link nothing. An open ``Tape`` only observes: it lists
+the ops that link a graph inside it, and ``backward`` never reads it. Only the
 broadcasting the rest of the package needs is supported.
 """
 
@@ -65,7 +66,7 @@ def no_grad():
 class Tensor:
     """Row-major float64 n-d array with an optional accumulated gradient."""
 
-    __slots__ = ("data", "grad", "grad_rows", "requires_grad", "_parents", "_backward", "_owns_grad")
+    __slots__ = ("data", "grad", "grad_rows", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
@@ -74,7 +75,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple["Tensor", ...] = ()
         self._backward: Callable[[Array], None] | None = None
-        self._owns_grad = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -88,36 +88,20 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, g: Array, rows: Array | None = None) -> None:
-        """Add ``g`` into ``grad``. The first gradient is kept as handed over, borrowed
-        (rules hand on their ``g``, views of it, or one array to several inputs)
-        and never written into; a second one is added out of place into an owned
-        sum, which later ones add into in place until ``backward`` hands it on.
+        """Add ``g`` into ``grad``; a gradient handed over is never written into. The
+        first one is kept as it is, and each later one is added out of place.
 
         ``rows``, when given, lists the only rows along axis 0 where ``g`` may be
         nonzero; ``grad_rows`` keeps the union of them, or None once a gradient
         covered every row. Adam updates only those rows."""
         if self.grad is None:
-            self.grad, self.grad_rows, self._owns_grad = g, rows, False
+            self.grad, self.grad_rows = g, rows
             return
         if rows is None or self.grad_rows is None:
             self.grad_rows = None
         else:
             self.grad_rows = np.union1d(self.grad_rows, rows)
-        if self._owns_grad:
-            self.grad += g
-        else:
-            self.grad = self.grad + g
-            self._owns_grad = True
-
-    def accumulate_at(self, key, g: Array) -> None:
-        """Add ``g`` into ``grad[key]`` on an owned buffer; repeated indices in ``key`` add up."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        elif not self._owns_grad:
-            self.grad = np.array(self.grad)
-        self._owns_grad = True
-        self.grad_rows = None
-        np.add.at(self.grad, key, g)
+        self.grad = self.grad + g
 
     def backward(self) -> None:
         backward(self)
@@ -126,28 +110,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), -self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, Tensor(1.0 / other))
-        raise TypeError("tensor division only supports python scalars")
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -209,7 +173,6 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
-            node._owns_grad = False  # the rule may have handed grad, or views of it, on
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +239,7 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 1 or b.data.ndim < 1 or a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     if a.data.ndim > 2 and b.data.ndim == 2:
         return _matmul_flat(a, b)
@@ -335,7 +298,7 @@ def slice_view(x: Tensor, key: tuple) -> Tensor:
     out = Tensor(x.data[key].copy())
 
     def back(g: Array) -> None:
-        x.accumulate_at(key, g)
+        x.accumulate_grad(_scatter_add(x.shape, key, g))
 
     return _record(out, (x,), back)
 
@@ -356,18 +319,15 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _record(out, tuple(parts), back)
 
 
-def reciprocal(x: Tensor) -> Tensor:
-    y = 1.0 / x.data
-    out = Tensor(y)
-
-    def back(g: Array) -> None:
-        x.accumulate_grad(-g * y * y)
-
-    return _record(out, (x,), back)
-
-
 # ---------------------------------------------------------------------------
 # gather / combine
+
+
+def _scatter_add(shape: tuple[int, ...], key, g: Array) -> Array:
+    """A fresh zero array of ``shape`` with ``g`` added at ``key``; repeated indices add up."""
+    out = np.zeros(shape)
+    np.add.at(out, key, g)
+    return out
 
 
 def gather_rows(table: Tensor, ids: Array) -> Tensor:
@@ -376,7 +336,7 @@ def gather_rows(table: Tensor, ids: Array) -> Tensor:
     out = Tensor(table.data[ids])
 
     def back(g: Array) -> None:
-        table.accumulate_at(ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+        table.accumulate_grad(_scatter_add(table.shape, ids.reshape(-1), g.reshape(-1, table.shape[-1])))
 
     return _record(out, (table,), back)
 
@@ -388,7 +348,7 @@ def take_per_row(x: Tensor, idx: Array) -> Tensor:
     out = Tensor(x.data[rows, idx])
 
     def back(g: Array) -> None:
-        x.accumulate_at((rows, idx), g)
+        x.accumulate_grad(_scatter_add(x.shape, (rows, idx), g))
 
     return _record(out, (x,), back)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypermoe.cli import (
     EXIT_INTEGRITY,
     EXIT_OK,
     EXIT_RUNTIME,
+    GRADCHECK_MAX_PARAMS,
     embedding_distance_matrices,
     gradcheck_model,
     main,
@@ -92,6 +94,16 @@ class TestTrainCommand:
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
+    def test_divergence_exit_3_with_one_line(self, tmp_path, capsys):
+        # the overflow that makes the loss non-finite raises no numpy warning of its own
+        path = write_config(tmp_path, learning_rate=1e300)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == EXIT_RUNTIME
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("divergence at step ") and err.count("\n") == 1
+
 
 class TestEvalCommand:
     def test_reports_checkpoint_metrics(self, config_path, tmp_path, capsys):
@@ -164,6 +176,12 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "all groups pass" in out
         assert "FAIL" not in out.replace("FAILURES", "")
+
+    def test_model_above_the_limit_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, d_ff=1024)
+        assert main(["gradcheck", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"gradcheck is limited to {GRADCHECK_MAX_PARAMS}" in err and err.count("\n") == 1
 
     def test_detects_injected_backward_fault(self):
         # scale gradients flowing through the routed experts by 5% without

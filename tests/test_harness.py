@@ -2,6 +2,7 @@ import builtins
 import contextlib
 import errno
 import gc
+import hashlib
 import json
 import os
 import re
@@ -72,6 +73,29 @@ class TestConfigValidation:
     def test_bad_field_is_named(self, name, value):
         with pytest.raises(ConfigurationError, match=rf"^{name} must be .*, got "):
             tiny_cfg(**{name: value})
+
+    @pytest.mark.parametrize(
+        "raw,named",
+        [
+            ({"n_experts": 2, "top_k": 3}, "top_k=3 exceeds n_experts=2"),
+            ({"n_experts": 2, "top_k": 2}, "hypermoe requires top_k < n_experts"),
+            ({"h": 8, "b": 8}, "bottleneck b=8 must be smaller than h=8"),
+            ({"h": 100000, "steps": 1}, "shrink h, d_ff, n_experts or n_layers"),
+            ({"h": 10**12, "steps": 1}, "shrink h, d_ff, n_experts or n_layers"),
+        ],
+        ids=[
+            "top-k-above-n", "hypermoe-no-unselected", "bottleneck-not-below-h", "too-many-parameters",
+            "too-wide-for-any-table",
+        ],
+    )
+    def test_inconsistent_or_oversized_config_exits_2(self, raw, named, tmp_path, capsys):
+        # the parameter bound is checked before the allocation that would pass
+        # it, and before the (seq_len, h) position table
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err and err.count("\n") == 1
 
     def test_every_field_has_a_rule(self):
         assert set(FIELD_RULES) == {f.name for f in fields(ModelConfig)}
@@ -476,17 +500,29 @@ class TestCheckpoint:
         assert open(first, "rb").read() == open(second, "rb").read()
 
 
+HEAD = len(MAGIC) + 8  # magic and the manifest length
+
+
+def rehashed(data):
+    """A checkpoint's bytes with the manifest's sha256 set to the payload's, so the checksum passes."""
+    (n,) = struct.unpack("<Q", data[len(MAGIC) : HEAD])
+    manifest = json.loads(data[HEAD : HEAD + n])
+    payload = data[HEAD + n :]
+    manifest["sha256"] = hashlib.sha256(payload).hexdigest()
+    blob = json.dumps(manifest).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(blob)) + blob + payload
+
+
 def rewrite_manifest(path, edit):
     """Apply ``edit`` to a saved checkpoint's manifest; the payload is kept."""
     with open(path, "rb") as f:
         data = f.read()
-    head = len(MAGIC) + 8
-    (blob_len,) = struct.unpack("<Q", data[len(MAGIC) : head])
-    manifest = json.loads(data[head : head + blob_len])
+    (blob_len,) = struct.unpack("<Q", data[len(MAGIC) : HEAD])
+    manifest = json.loads(data[HEAD : HEAD + blob_len])
     edit(manifest)
     blob = json.dumps(manifest).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC + struct.pack("<Q", len(blob)) + blob + data[head + blob_len :])
+        f.write(MAGIC + struct.pack("<Q", len(blob)) + blob + data[HEAD + blob_len :])
 
 
 def entry(manifest, name):
@@ -535,16 +571,39 @@ class TestCheckpointManifest:
             (lambda m: m.update(config="x"), "invalid embedded config: a config must be a JSON object, got str"),
             (lambda m: m["config"].update(h=0), "invalid embedded config: h must be"),
             (lambda m: m["config"].update(moduli=[1025]), "invalid embedded config: moduli"),
+            (lambda m: m["config"].update(h=100000), "invalid embedded config: .*shrink h, d_ff, n_experts or n_layers"),
+            (lambda m: m["config"].update(renormalize_gate=False), "invalid embedded config: .*renormalize_gate"),
         ],
         ids=[
             "format-1", "format-str", "params-not-list", "entry-not-object", "name-not-str", "shape-not-ints",
             "offset-missing", "offset-negative", "name-twice", "config-not-object", "config-bad-field",
-            "config-pool-too-large",
+            "config-pool-too-large", "config-too-many-parameters", "config-renormalize-gate",
         ],
     )
     def test_malformed_manifest_exits_4(self, path, edit, message, capsys):
         rewrite_manifest(path, edit)
         with pytest.raises(IntegrityError, match=f"^{re.escape(path)}: .*{message}"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", path]) == EXIT_INTEGRITY
+        err = capsys.readouterr().err
+        assert err.startswith("integrity error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda data: data[: len(MAGIC)] + struct.pack("<Q", len(data)) + data[HEAD:], "truncated manifest"),
+            (lambda data: data[:HEAD] + b"\xff" + data[HEAD + 1 :], "corrupt manifest: 'utf-8' codec"),
+            (lambda data: data[:HEAD] + b"x" + data[HEAD + 1 :], "corrupt manifest: Expecting value"),
+            (lambda data: rehashed(data[:-8]), "payload truncated at parameter"),
+        ],
+        ids=["manifest-past-eof", "manifest-not-utf8", "manifest-not-json", "payload-truncated-rehashed"],
+    )
+    def test_corrupt_bytes_exit_4(self, path, corrupt, message, capsys):
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(corrupt(data))
+        with pytest.raises(IntegrityError, match=f"^{re.escape(path)}: {message}"):
             load_checkpoint(path)
         assert main(["eval", "--checkpoint", path]) == EXIT_INTEGRITY
         err = capsys.readouterr().err

@@ -107,12 +107,6 @@ class TestGate:
         shifted = T.softmax(Tensor(logits + 3.7))
         assert np.array_equal(np.argmax(shifted.data, axis=1), d1.selected[:, 0])
 
-    def test_renormalized_gate_values_sum_to_one(self):
-        cfg = make_gate(5, 4, k=2)
-        cfg.renormalize = True
-        dec = noisy_topk_gate(Tensor(Rng(3).gaussian(10, 5)), cfg)
-        assert np.allclose(dec.gate_values.data.sum(axis=1), 1.0)
-
 
 class TestExpertForward:
     def test_zero_w1(self):
