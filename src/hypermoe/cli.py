@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import os
+import resource
 import sys
 import time
 
@@ -77,8 +78,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _timed_steps(model: Model, phase: str, steps: int, warmup: int) -> float:
-    """Samples per second over the post-warmup steps.
+def _timed_steps(model: Model, phase: str, steps: int, warmup: int, faults: list | None = None) -> float:
+    """Samples per second over the post-warmup steps; ``faults``, when given, gets
+    their minor page faults per step (rounded) appended.
 
     Train steps are ``training.train_step`` with the optimizer training builds.
     """
@@ -86,10 +88,11 @@ def _timed_steps(model: Model, phase: str, steps: int, warmup: int) -> float:
     data_rng = Rng(cfg.seed).spawn("bench-data")
     noise_rng = Rng(cfg.seed).spawn("bench-noise")
     opt = make_optimizer(model)
-    start = None
+    start = minflt = None
     for step in range(steps):
         if step == warmup:
             start = time.perf_counter()
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         inputs, targets = generate_task_batch(model.task, data_rng, cfg.batch_size)
         if phase == "train":
             train_step(model, opt, inputs, targets, noise_rng)
@@ -97,6 +100,9 @@ def _timed_steps(model: Model, phase: str, steps: int, warmup: int) -> float:
             with T.no_grad():
                 model.forward(inputs, training=False)
     duration = time.perf_counter() - start
+    if faults is not None:
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
+        faults.append(round(minflt / (steps - warmup)))
     return (steps - warmup) * cfg.batch_size / duration
 
 
@@ -109,12 +115,14 @@ def cmd_bench(args) -> int:
         cfg = _load_config(args.config, seed=args.seed, layer_kind=method)
         model = build_model(cfg)
         t0 = time.perf_counter()
-        sps = _timed_steps(model, args.phase, args.steps, args.warmup)
+        faults: list[int] = []
+        sps = _timed_steps(model, args.phase, args.steps, args.warmup, faults)
         reports.append(
             {
                 "method": cfg.layer_kind,
                 "phase": args.phase,
                 "samples_per_second": sps,
+                "minor_faults_per_step": faults[0],
                 "steps": args.steps - args.warmup,
                 "duration_seconds": time.perf_counter() - t0,
                 "config": cfg.to_dict(),

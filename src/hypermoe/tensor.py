@@ -3,17 +3,24 @@
 Every differentiable operation links its output to its inputs (``_parents``)
 and a rule ``back(g)`` that captures the inputs, never the output, so a graph
 is no reference cycle and is freed by refcount. ``backward`` runs the rules of
-the nodes reachable from the loss in reverse topological order. A gradient
-enters a tensor only through ``accumulate_grad`` and is never written into, so
-a rule may hand on its ``g``, views of it, or one array to several inputs.
+the nodes reachable from the loss in reverse topological order, and a graph
+is single-use: each op node drops its gradient, its rule and its parents as
+soon as its rule has run, so only leaves keep a gradient, and a second
+``backward`` through the graph raises ``ContractError``. A gradient enters a
+tensor only through ``accumulate_grad`` and is never written into, so a rule
+may hand on its ``g``, views of it, or one array to several inputs.
 Under ``no_grad()`` ops link nothing. An open ``Tape`` only observes: it lists
 the ops that link a graph inside it, and ``backward`` never reads it. Only the
 broadcasting the rest of the package needs is supported.
+
+Importing this module sets three glibc allocator thresholds for the whole
+process; see ``MMAP_THRESHOLD_BYTES``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import threading
 import zlib
 from typing import Callable, Sequence
@@ -24,12 +31,28 @@ from .errors import ContractError, DimensionError, TargetError
 
 Array = np.ndarray
 
+# glibc malloc thresholds, set once at import for the whole process. A step
+# frees its activations as backward walks the graph and allocates them again
+# in the next step; with glibc's defaults the freed heap would go back to the
+# kernel and be page-faulted in again every step. Setting either of the last
+# two turns off glibc's dynamic mmap threshold, so the first is set with them.
+M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_TOP_PAD = -3, -1, -2  # mallopt parameter codes
+MMAP_THRESHOLD_BYTES = 32 << 20  # arrays below this come from the heap, not from a fresh mmap
+TRIM_THRESHOLD_BYTES = 256 << 20  # free memory the heap keeps at its top
+TOP_PAD_BYTES = 16 << 20  # extra space the heap grows by on each request
+_mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+if _mallopt is not None:  # not glibc: the allocator is left as it is
+    _mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    _mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+    _mallopt(M_TOP_PAD, TOP_PAD_BYTES)
+
 
 class Tape:
     """Observer listing the differentiable ops run while it is the innermost open Tape.
 
     Execution order is a topological order by construction: an op's inputs
-    are always recorded before the op itself.
+    are always recorded before the op itself. The records keep every op
+    output, and its data, alive until the Tape is dropped.
     """
 
     def __init__(self) -> None:
@@ -145,15 +168,25 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
+def _consumed(g: Array | None = None) -> None:
+    """The rule an op node keeps once its own has run in a ``backward``: a graph is single-use."""
+    raise ContractError("backward through a graph that was already consumed; build a new graph")
+
+
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor reachable from a scalar loss.
+    """Populate ``grad`` on every leaf reachable from a scalar loss, consuming the graph.
 
     An iterative depth-first post-order walk (no recursion limit) sorts the
     op nodes reachable through ``_parents``; leaves have no rule and are never
-    pushed. Gradients accumulate across calls until explicitly cleared.
+    pushed. Each node's rule runs once, in reverse order, and the node then
+    drops its gradient, rule and parents, which frees what the rule captured.
+    A graph that reaches a consumed node raises ``ContractError`` before any
+    gradient changes. Leaf gradients accumulate across graphs until cleared.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar, got shape {loss.shape}")
+    if loss._backward is _consumed:
+        _consumed()
 
     order: list[Tensor] = []
     visited = {id(loss)}
@@ -161,18 +194,23 @@ def backward(loss: Tensor) -> None:
     while stack:
         node, parents = stack[-1]
         for p in parents:
-            if p._parents and id(p) not in visited:
-                visited.add(id(p))
-                stack.append((p, iter(p._parents)))
-                break
+            if p._parents:
+                if id(p) not in visited:
+                    visited.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            elif p._backward is _consumed:
+                _consumed()
         else:
             stack.pop()
             order.append(node)
 
     loss.accumulate_grad(np.ones_like(loss.data))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _consumed, ()
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +420,10 @@ def _grouped_ffn_back(gy: Array, k: int, state: tuple, w1: Array, w2: Array) -> 
     order, spans, xs, hidden = state
     gs = gy[order]
     dxs = np.empty_like(xs)
-    dw1, dw2 = np.zeros_like(w1), np.zeros_like(w2)
+    dw1, dw2 = np.empty_like(w1), np.empty_like(w2)
+    idle = np.ones(len(w1), dtype=bool)
+    idle[[u for u, _, _ in spans]] = False
+    dw1[idle], dw2[idle] = 0.0, 0.0
     for u, s, e in spans:
         d_pre = gs[s:e] @ w2[u].T
         d_pre *= hidden[s:e] > 0.0
@@ -516,10 +557,9 @@ def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with learned gain and bias."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
     out = Tensor(xhat * gain.data + bias.data)
 
     def back(g: Array) -> None:
@@ -529,9 +569,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias.accumulate_grad(_unbroadcast(g, bias.shape))
         if x.requires_grad:
             dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (dxhat - m1 - xhat * m2))
+            dxhat -= dxhat.mean(axis=-1, keepdims=True)
+            dxhat -= xhat * m2
+            dxhat *= inv
+            x.accumulate_grad(dxhat)
 
     return _record(out, (x, gain, bias), back)
 

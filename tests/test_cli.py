@@ -141,6 +141,8 @@ class TestBenchCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["samples_per_second"] > 0
         assert report["phase"] == "train"
+        faults = report["minor_faults_per_step"]
+        assert isinstance(faults, int) and faults >= 0
 
     def test_same_method_ratio_near_one(self, config_path, capsys):
         code = main(

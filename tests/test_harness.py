@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import ctypes
 import errno
 import gc
 import hashlib
@@ -7,6 +8,10 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 import weakref
 from dataclasses import fields
 
@@ -330,6 +335,30 @@ class TestEvaluate:
         monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
         assert evaluate(model, 600) == free
 
+    @pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None, reason="needs glibc mallopt")
+    def test_fresh_process_keeps_its_heap_mapped(self):
+        # an evaluate-only process: the heap one call frees must stay mapped for
+        # the next call, not be handed back and page-faulted in again
+        script = textwrap.dedent("""
+            import resource
+            from hypermoe.config import ModelConfig
+            from hypermoe.model import build_model
+            from hypermoe.training import evaluate
+            model = build_model(ModelConfig(
+                layer_kind="hypermoe", h=32, d_ff=64, n_experts=4, top_k=1, n_layers=2, b=4, batch_size=64,
+                moduli=[5, 3, 4, 6], train_size=4096, eval_size=512, noise_enabled=False))
+            evaluate(model, 512)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(20):
+                evaluate(model, 512)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+        """)
+        src = os.path.dirname(os.path.dirname(T.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 100
+
     def test_forward_links_no_graph(self, monkeypatch):
         model = build_model(tiny_cfg(layer_kind="hypermoe"))
         outputs = []
@@ -342,31 +371,50 @@ class TestEvaluate:
 class TestTrainStepGraph:
     @pytest.mark.parametrize("kind", LAYER_KINDS)
     def test_freed_by_refcount(self, kind, monkeypatch):
-        # every backward rule of the step's graph dies with its node once the
-        # step's result is dropped, with the cyclic collector off
+        # every backward rule of the step's graph is dead when train_step
+        # returns, with the cyclic collector off and the step's result held
         model = build_model(tiny_cfg(layer_kind=kind))
         opt = make_optimizer(model)
         inputs, targets = generate_task_batch(model.task, Rng(0), 16)
-        losses = []
-        combined = training.combined_loss
-        monkeypatch.setattr(training, "combined_loss", lambda *a: losses.append(combined(*a)) or losses[-1])
-        gc.disable()
-        try:
-            result, *_ = train_step(model, opt, inputs, targets, Rng(1))
-            (total, _, _), = losses
-            rules, stack, seen = [], [total], set()
+        rules = []
+        walk = T.backward
+
+        def collecting(loss):
+            stack, seen = [loss], set()
             while stack:
                 node = stack.pop()
-                if node._backward is not None and id(node) not in seen:
+                if node._parents and id(node) not in seen:
                     seen.add(id(node))
                     rules.append(weakref.ref(node._backward))
                     stack.extend(node._parents)
-            assert len(rules) > 10
-            del result, total, losses[:], node, stack
+            walk(loss)
+
+        monkeypatch.setattr(T, "backward", collecting)
+        gc.disable()
+        try:
+            result, *_ = train_step(model, opt, inputs, targets, Rng(1))
             dead = sum(r() is None for r in rules)
         finally:
             gc.enable()
+        assert len(rules) > 10
         assert dead == len(rules)
+        assert result.outputs._parents == ()
+
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_held_result_keeps_no_graph(self, kind):
+        # what a step leaves traced while its result is held, against the step's peak
+        model = build_model(tiny_cfg(layer_kind=kind, h=32, d_ff=64, n_experts=4, top_k=2, n_layers=2, batch_size=64))
+        opt = make_optimizer(model)
+        inputs, targets = generate_task_batch(model.task, Rng(0), 64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result, *_ = train_step(model, opt, inputs, targets, Rng(1))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.outputs.data.shape[0] == 64
+        assert held - base < 0.05 * (peak - base), (held - base, peak - base)
 
 
 class TestModelScaleZeroGenerator:

@@ -132,6 +132,30 @@ class TestReductionsLosses:
         with pytest.raises(TargetError):
             T.softmax_cross_entropy(Tensor([[0.0, 0.0]]), np.array([2]))
 
+    @given(batch=st.lists(st.integers(1, 5), min_size=1, max_size=2), h=st.integers(1, 9),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**16))
+    def test_layer_norm_bitwise_equal_to_the_np_var_formula(self, batch, h, scale, seed):
+        rng = Rng(seed)
+        x, g = rng.gaussian(*batch, h) * scale, rng.gaussian(*batch, h)
+        gain, bias = rng.gaussian(h), rng.gaussian(h)
+        # reference: np.var for the variance, then the out-of-place gradients
+        mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (x - mu) * inv
+        dxhat = g * gain
+        m1, m2 = dxhat.mean(axis=-1, keepdims=True), (dxhat * xhat).mean(axis=-1, keepdims=True)
+        want = {"out": xhat * gain + bias, "x": inv * (dxhat - m1 - xhat * m2),
+                "gain": T._unbroadcast(g * xhat, gain.shape), "bias": T._unbroadcast(g, bias.shape)}
+
+        leaves = {"x": Tensor(x, requires_grad=True), "gain": Tensor(gain, requires_grad=True),
+                  "bias": Tensor(bias, requires_grad=True)}
+        out = T.layer_norm(leaves["x"], leaves["gain"], leaves["bias"])
+        got = {"out": out.data.copy()}
+        T.tsum(out * Tensor(g)).backward()  # hands layer_norm exactly g
+        got.update((name, t.grad) for name, t in leaves.items())
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), name
+
 
 class TestBackward:
     def test_sum_grad_is_ones(self):
@@ -170,25 +194,42 @@ class TestBackward:
             T.backward(Tensor([1.0, 2.0]))
 
     def test_repeated_backward_accumulates(self):
+        # two graphs over one leaf: its gradients add up across them
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = T.tsum(x)
-        loss.backward()
-        loss.grad = None
-        loss.backward()
+        T.tsum(x).backward()
+        T.tsum(x).backward()
         assert x.grad.tolist() == [2.0, 2.0]
 
     def test_repeated_backward_does_not_write_through_a_borrowed_view(self):
-        # n's gradient is a sum of two, and x gets a view of it; the second pass
-        # must add into n out of place, or x's gradient would change under it
+        # n's gradient is a sum of two, and x gets a view of it; the second
+        # graph must add into x out of place, or the first gradient handed
+        # over would change under its holder
+        x = Tensor([1.0, 2.0], requires_grad=True)
+
+        def loss():
+            n = T.reshape(x, (2, 1))
+            return T.tsum(n + n)
+
+        loss().backward()
+        first = x.grad
+        assert first.tolist() == [2.0, 2.0]
+        loss().backward()
+        assert x.grad.tolist() == [4.0, 4.0]
+        assert first.tolist() == [2.0, 2.0]
+
+    def test_consumed_graph_raises_before_any_gradient_changes(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         n = T.reshape(x, (2, 1))
         loss = T.tsum(n + n)
         loss.backward()
-        assert x.grad.tolist() == [2.0, 2.0]
-        loss.grad = None
-        loss.backward()
-        # add's gradient is 1 + 1, n's is 2 + 2 + 2, and x's is 2 + 6
-        assert x.grad.tolist() == [8.0, 8.0]
+        # only the leaf keeps a gradient; every op node dropped its rule and parents
+        assert n.grad is None and loss.grad is None
+        assert n._parents == () and loss._parents == ()
+        before = x.grad.copy()
+        for again in (loss, T.tsum(n), T.tsum(n * Tensor([[3.0], [4.0]]))):
+            with pytest.raises(ContractError, match="already consumed"):
+                again.backward()
+            assert np.array_equal(x.grad, before)
 
     def test_composite_matches_finite_differences(self):
         rng = Rng(11)
@@ -224,11 +265,11 @@ def test_gradients_match_finite_differences(name, seed):
     assert np.max(np.abs(x.grad - fd)) / max(np.max(np.abs(fd)), 1e-6) < 1e-4
 
 
-def _matmul_grads_match_finite_differences(a: Tensor, b: Tensor) -> None:
-    """Gradients of sum((a @ b)^2) for both operands against central differences."""
+def _matmul_grads_match_finite_differences(a: Tensor, b: Tensor, view=lambda t: t) -> None:
+    """Gradients of sum((view(a) @ b)^2) for both leaves against central differences."""
 
     def f(at, bt):
-        out = at @ bt
+        out = view(at) @ bt
         return T.tsum(out * out)
 
     f(a, b).backward()
@@ -260,12 +301,13 @@ class TestMatmulProperties:
 
     @given(batch=dims, m=dims, k=dims, n=dims, seed=st.integers(0, 2**16))
     def test_non_contiguous_3d_at_2d(self, batch, m, k, n, seed):
-        # a transposed view reaches the flat path with non-contiguous data
+        # a transposed view reaches the flat path with non-contiguous data; the
+        # leaf under the view gets the gradient
         rng = Rng(seed)
-        a = T.transpose_last2(Tensor(rng.gaussian(batch, k, m), requires_grad=True))
+        leaf = Tensor(rng.gaussian(batch, k, m), requires_grad=True)
         w = Tensor(rng.gaussian(k, n), requires_grad=True)
-        assert not a.data.flags.c_contiguous or min(m, k) == 1
-        _matmul_grads_match_finite_differences(a, w)
+        assert not T.transpose_last2(leaf).data.flags.c_contiguous or min(m, k) == 1
+        _matmul_grads_match_finite_differences(leaf, w, view=T.transpose_last2)
 
     @given(batch=dims, m=dims, k=dims, n=dims, seed=st.integers(0, 2**16))
     def test_3d_at_3d(self, batch, m, k, n, seed):
