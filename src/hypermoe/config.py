@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigurationError
@@ -13,12 +13,13 @@ EMBEDDING_SOURCES = ("learned", "compressed")
 TASKS = ("grouped_modular_addition", "piecewise_regression")
 
 
-def _integer(low: int):
-    return lambda v: type(v) is int and v >= low, f"an integer >= {low}"
+def _integer(low: int):  # an int64, as numpy needs: a larger one fails in numpy calls before any bound
+    return lambda v: type(v) is int and low <= v < 2**63, f"an integer in [{low}, 2**63)"
 
 
 def _number(ok, text: str):
-    return lambda v: type(v) in (int, float) and math.isfinite(v) and ok(v), text
+    # finite, and as a float: NaN and the infinities fail the comparison, as does an int past float range
+    return lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max and ok(v), text
 
 
 def _one_of(options: tuple):

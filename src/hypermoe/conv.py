@@ -112,12 +112,9 @@ class ConvPipeline:
 
 
 def conv_stage_forward(x: np.ndarray, stage: Stage, weight: np.ndarray | None = None) -> np.ndarray:
-    """One stage on images of shape (..., c, h, w); leading axes are a batch."""
-    stage_output_shape(stage, x.shape[-3:])  # validates shapes
+    """One stage on images of shape (..., c, h, w), leading axes a batch, as ``ConvPipeline`` checked and drew it."""
     if stage.kind not in ("depthwise", "pointwise", "avg_pool"):
         raise ConfigurationError(f"unknown stage kind {stage.kind!r}")
-    if weight is None and stage.kind != "avg_pool":
-        raise ConfigurationError(f"{stage.kind} stage requires a weight")
     if stage.kind == "pointwise":
         return np.einsum("...chw,co->...ohw", x, weight)
     sh, sw = stage.stride

@@ -17,10 +17,6 @@ class ConfigurationError(ValueError):
     """A config value or combination of values is invalid."""
 
 
-class DegenerateSelectionError(ConfigurationError):
-    """Every expert was selected, leaving no unselected expert to condition on."""
-
-
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 

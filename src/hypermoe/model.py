@@ -39,6 +39,11 @@ from .tasks import build_task
 from .tensor import Rng, Tensor
 
 MAX_PARAMS = 2**27  # far above the largest model in use (2.4M parameters); 1 GiB of float64 values
+# Values in a training step's largest array: at most batch_size * seq_len tokens times the widest row
+# a token adds to one array (its routed slots, top_k * max(d_ff, h), one slot for dense; the gate's
+# n_experts; the classes; hypermoe's generated D, h * b, at most one routing-mask group per token).
+# 2**26 (512 MiB) is 20x wide's 3.1M; above it a huge batch_size would fail in numpy mid-step.
+MAX_ACTIVATION = 2**26
 
 
 def sinusoidal_positions(seq_len: int, h: int) -> np.ndarray:
@@ -67,6 +72,13 @@ class Model:
         self._n_params = 0
         self._rng = Rng(cfg.seed)
         self._build()
+        slots = 1 if cfg.layer_kind == "dense" else cfg.top_k
+        generated = cfg.h * cfg.b if cfg.layer_kind == "hypermoe" else 0
+        width = max(slots * max(cfg.d_ff, cfg.h), cfg.n_experts, getattr(self.task, "num_classes", 1), generated)
+        tokens = cfg.batch_size * self.task.seq_len
+        if tokens * width > MAX_ACTIVATION:
+            raise ConfigurationError(f"batch_size {cfg.batch_size}: a step's array of {tokens} tokens x {width} values "
+                                     f"exceeds {MAX_ACTIVATION}; shrink batch_size, top_k * d_ff, n_experts or h * b")
 
     # -- construction -------------------------------------------------------
 
@@ -95,7 +107,11 @@ class Model:
         if self.task.kind == "regression":
             self.scalar_w = self._param("scalar_in.w", (1, h), 1.0)
             self.scalar_b = self._param("scalar_in.b", (h,), 0.0)
-        self.blocks = [self._build_block(i) for i in range(cfg.n_layers)]
+        before = self._n_params
+        self.blocks = [self._build_block(0)]
+        if (cfg.n_layers - 1) * (self._n_params - before) > MAX_PARAMS - self._n_params:  # every block alike
+            raise ConfigurationError(f"over {MAX_PARAMS} parameters at l1; shrink h, d_ff, n_experts or n_layers")
+        self.blocks += [self._build_block(i) for i in range(1, cfg.n_layers)]
         self.ln_f = (self._param("ln_f.g", (h,), 0.0), self._param("ln_f.b", (h,), 0.0))
         self.params["ln_f.g"].data[:] = 1.0
         out_dim = self.task.num_classes if self.task.kind == "classification" else 1
@@ -131,7 +147,6 @@ class Model:
             )
         else:
             blk["gate"] = GateConfig(
-                cfg.n_experts,
                 cfg.top_k,
                 cfg.noise_enabled,
                 self._param(f"l{i}.gate.wg", (h, cfg.n_experts), inv_h),
@@ -171,7 +186,6 @@ class Model:
             hn=HyperNetParams(
                 self._param("hyper.w_down", (cfg.h * cfg.b, cfg.t_k), gen_std),
                 self._param("hyper.w_up", (cfg.b * cfg.h, cfg.t_k), gen_std),
-                cfg.h,
                 cfg.b,
             ),
             condition_on=cfg.condition_on,

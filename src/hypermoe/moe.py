@@ -21,28 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, DimensionError
+from .errors import ContractError
 from .tensor import Rng, Tensor
 
 
 @dataclass
 class GateConfig:
-    num_experts: int
     top_k: int
     noise_enabled: bool
     w_gate: Tensor      # (h, N)
     w_noise: Tensor     # (h, N)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.top_k <= self.num_experts:
-            raise ConfigurationError(
-                f"top_k={self.top_k} must satisfy 1 <= top_k <= num_experts={self.num_experts}"
-            )
-        if self.w_gate.shape[-1] != self.num_experts or self.w_noise.shape != self.w_gate.shape:
-            raise ConfigurationError(
-                f"gate weight shapes {self.w_gate.shape}/{self.w_noise.shape} "
-                f"inconsistent with num_experts={self.num_experts}"
-            )
 
 
 @dataclass
@@ -54,14 +42,6 @@ class GateDecision:
     gate_values: Tensor         # (T, K) retained softmax values at `selected`
     binary_mask: np.ndarray     # (T, N) 0/1, exactly K ones per row
 
-    @property
-    def num_tokens(self) -> int:
-        return self.router_probs.shape[0]
-
-    @property
-    def num_experts(self) -> int:
-        return self.router_probs.shape[1]
-
 
 @dataclass
 class ExpertBank:
@@ -69,11 +49,6 @@ class ExpertBank:
 
     w1: Tensor  # (N, h, d_ff)
     w2: Tensor  # (N, d_ff, h)
-
-    def __post_init__(self) -> None:
-        s1, s2 = self.w1.shape, self.w2.shape
-        if len(s1) != 3 or s2 != (s1[0], s1[2], s1[1]):
-            raise ConfigurationError(f"expert bank needs stacks (N, h, d_ff) and (N, d_ff, h), got {s1} and {s2}")
 
     @property
     def num_experts(self) -> int:
@@ -102,7 +77,7 @@ def noisy_topk_gate(
     logits = x @ cfg.w_gate
     if training and cfg.noise_enabled:
         if rng is None:
-            raise ConfigurationError("noisy gating in training mode requires an rng")
+            raise ContractError("noisy gating in training mode requires an rng")
         noise = Tensor(rng.gaussian(*logits.shape))
         logits = logits + noise * T.softplus(x @ cfg.w_noise)
     probs = T.softmax(logits)
@@ -122,8 +97,6 @@ def expert_forward(x: Tensor, expert: tuple, decision: GateDecision | None = Non
     """Expert FFN relu(x W1) W2: one (W1, W2) pair run on every row, or, given ``decision``,
     a bank's (W1, W2) stacks, each row run through its K selected experts and summed by gate value."""
     w1, w2 = expert
-    if x.shape[-1] != w1.shape[-2]:
-        raise DimensionError(f"expert_forward: x {x.shape} vs W1 {w1.shape[-2:]}")
     if decision is None:
         return T.relu(x @ w1) @ w2
     return T.routed_experts(x, w1, w2, decision.selected, decision.gate_values)
@@ -131,10 +104,6 @@ def expert_forward(x: Tensor, expert: tuple, decision: GateDecision | None = Non
 
 def moe_forward(x: Tensor, bank: ExpertBank, decision: GateDecision) -> Tensor:
     """y_i = sum_k gate_ik * E_sel(x_i) over the K experts token i selects, in one graph node."""
-    if decision.num_experts != bank.num_experts:
-        raise ConfigurationError(
-            f"decision has {decision.num_experts} experts, bank has {bank.num_experts}"
-        )
     return expert_forward(x, (bank.w1, bank.w2), decision)
 
 
@@ -152,8 +121,7 @@ def load_balance_loss(decision: GateDecision) -> Tensor:
     graph), P_i the mean router probability of expert i (differentiable).
     Minimized, at value 1 for top-1 routing, by exactly uniform routing.
     """
-    n_tokens = decision.num_tokens
-    n_experts = decision.num_experts
+    n_tokens, n_experts = decision.router_probs.shape
     fractions = Tensor(decision.binary_mask.sum(axis=0, keepdims=True) / n_tokens)
     mean_probs = T.tsum(decision.router_probs, axis=0) * (1.0 / n_tokens)
     return T.tsum(fractions * mean_probs) * float(n_experts)

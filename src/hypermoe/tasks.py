@@ -16,8 +16,10 @@ from .config import ModelConfig
 from .errors import ConfigurationError
 from .tensor import Rng
 
-# Largest n_groups * operand_range**2 that GroupedModularAddition enumerates:
-# about 80 bytes of index arrays per instance, so some 84 MB at the limit.
+# Largest instance pool a task builds: n_groups * operand_range**2 triples that
+# GroupedModularAddition enumerates, about 80 bytes of index arrays each, so some
+# 84 MB at the limit; and PiecewiseRegression's train_size + eval_size draws and
+# its n_experts latent functions.
 MAX_INSTANCES = 1 << 20
 
 
@@ -100,6 +102,11 @@ class PiecewiseRegression:
     kind: str = field(default="regression", init=False)
 
     def __post_init__(self) -> None:
+        if self.n_funcs > MAX_INSTANCES:
+            raise ConfigurationError(f"n_experts {self.n_funcs} exceeds the {MAX_INSTANCES} functions a task may draw")
+        size = self.train_size + self.eval_size
+        if size > MAX_INSTANCES:
+            raise ConfigurationError(f"train_size + eval_size = {size} exceeds the {MAX_INSTANCES} a pool may hold")
         self.vocab_size = self.n_funcs
         self.seq_len = 2
         rng = Rng(self.seed).spawn("funcs")
@@ -142,13 +149,9 @@ def build_task(cfg: ModelConfig) -> SyntheticTask:
         return GroupedModularAddition(
             list(cfg.moduli), cfg.seed, cfg.train_size, cfg.eval_size, cfg.operand_range
         )
-    if cfg.task == "piecewise_regression":
-        return PiecewiseRegression(cfg.n_experts, cfg.seed, cfg.train_size, cfg.eval_size)
-    raise ConfigurationError(f"unknown task {cfg.task!r}")
+    return PiecewiseRegression(cfg.n_experts, cfg.seed, cfg.train_size, cfg.eval_size)
 
 
 def generate_task_batch(task: SyntheticTask, rng: Rng, batch: int):
     """Draw a reproducible training batch: (inputs, targets)."""
-    if batch < 1:
-        raise ConfigurationError("batch must be >= 1")
     return task.train_batch(rng, batch)

@@ -518,20 +518,18 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     return _record(out, (x,), back)
 
 
-def mse(pred: Tensor, target: Tensor) -> Tensor:
+def mse(pred: Tensor, target: Array) -> Tensor:
+    """Mean squared error between predictions and a constant target array of the same shape."""
+    target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise DimensionError(f"mse: incompatible shapes {pred.shape} and {target.shape}")
-    diff = pred.data - target.data
+    diff = pred.data - target
     out = Tensor(np.mean(diff * diff))
 
     def back(g: Array) -> None:
-        g = g * 2.0 * diff / pred.size
-        if pred.requires_grad:
-            pred.accumulate_grad(g)
-        if target.requires_grad:
-            target.accumulate_grad(-g)
+        pred.accumulate_grad(g * 2.0 * diff / pred.size)
 
-    return _record(out, (pred, target), back)
+    return _record(out, (pred,), back)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:

@@ -79,7 +79,7 @@ class Adam:
 def task_loss(result: ForwardResult, targets, kind: str) -> Tensor:
     if kind == "classification":
         return T.softmax_cross_entropy(result.outputs, targets)
-    return T.mse(result.outputs, Tensor(np.asarray(targets, dtype=np.float64)[:, None]))
+    return T.mse(result.outputs, np.asarray(targets)[:, None])
 
 
 def utilization_histogram(result: ForwardResult, n_experts: int) -> np.ndarray:

@@ -43,7 +43,7 @@ def random_layer(rng: Rng, zero_generator: bool):
     tk = int(rng.integers(2, 9))
     n_tok = int(rng.integers(1, 12))
     gate = GateConfig(
-        n, k, False, Tensor(rng.gaussian(h, n)), Tensor(rng.gaussian(h, n))
+        k, False, Tensor(rng.gaussian(h, n)), Tensor(rng.gaussian(h, n))
     )
     bank = ExpertBank(
         Tensor(np.stack([rng.gaussian(h, d_ff) for _ in range(n)])),
@@ -57,7 +57,7 @@ def random_layer(rng: Rng, zero_generator: bool):
             Tensor(rng.gaussian(t, t)), Tensor(rng.gaussian(t)),
         ),
         Projector(Tensor(rng.gaussian(t + tp, tk)), Tensor(rng.gaussian(tk))),
-        HyperNetParams(Tensor(gen(h * b, tk)), Tensor(gen(b * h, tk)), h, b),
+        HyperNetParams(Tensor(gen(h * b, tk)), Tensor(gen(b * h, tk)), b),
     )
     x = Tensor(rng.gaussian(n_tok, h))
     return x, gate, bank, hyper
@@ -112,7 +112,7 @@ def test_criterion_3_routing_invariants():
         k = 1 + checked % n if (1 + checked % n) < n else 1
         h = 4 + checked % 9
         tokens = 1 + checked % 64
-        gate = GateConfig(n, k, True, Tensor(rng.gaussian(h, n)), Tensor(rng.gaussian(h, n)))
+        gate = GateConfig(k, True, Tensor(rng.gaussian(h, n)), Tensor(rng.gaussian(h, n)))
         dec = noisy_topk_gate(Tensor(rng.gaussian(tokens, h)), gate, rng=rng, training=True)
         z = dec.binary_mask
         ok &= dec.selected.shape == (tokens, k)

@@ -18,8 +18,10 @@ from hypermoe.cli import (
     run_compare,
 )
 from hypermoe.config import ModelConfig
+from hypermoe.errors import ConfigurationError
 from hypermoe.hyper import EmbeddingTables, HyperComponents
-from hypermoe.model import build_model
+from hypermoe.model import MAX_ACTIVATION, build_model
+from hypermoe.tasks import MAX_INSTANCES
 from hypermoe.tensor import Tensor
 from hypermoe.training import evaluate, train_model
 
@@ -103,6 +105,29 @@ class TestTrainCommand:
         assert caught == []
         err = capsys.readouterr().err
         assert err.startswith("divergence at step ") and err.count("\n") == 1
+
+
+class TestInputBounds:
+    def test_piecewise_pool_above_the_bound_exit_2_names_both_sizes(self, tmp_path, capsys):
+        # one instance over the bound: without it, this pool fits in memory and trains
+        train_size = MAX_INSTANCES - TINY["eval_size"] + 1
+        path = write_config(tmp_path, task="piecewise_regression", train_size=train_size, steps=1)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "train_size" in err and "eval_size" in err and err.count("\n") == 1
+
+    def test_huge_batch_size_exit_2_before_allocating(self, tmp_path, capsys):
+        path = write_config(tmp_path, batch_size=10**10, steps=1)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: batch_size 10000000000:") and err.count("\n") == 1
+
+    def test_largest_batch_under_the_activation_bound_builds(self):
+        # TINY's widest per-token row is its generated expert's h * b = 32 values, 3 tokens a sample
+        largest = MAX_ACTIVATION // (3 * TINY["h"] * TINY["b"])
+        assert build_model(ModelConfig.from_dict({**TINY, "batch_size": largest})).cfg.batch_size == largest
+        with pytest.raises(ConfigurationError, match="^batch_size "):
+            build_model(ModelConfig.from_dict({**TINY, "batch_size": largest + 1}))
 
 
 class TestEvalCommand:

@@ -678,7 +678,3 @@ class TestBatchGeneration:
         a = generate_task_batch(task, Rng(3), 8)
         b = generate_task_batch(task, Rng(3), 8)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_rejects_empty_batch(self):
-        with pytest.raises(ConfigurationError):
-            generate_task_batch(build_task(tiny_cfg()), Rng(0), 0)

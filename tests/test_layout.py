@@ -1,4 +1,4 @@
-"""The package holds no API that only the tests use.
+"""The package holds no API that only the tests use, and its layers re-check no config.
 
 Each public top-level function and class of ``src/hypermoe/``, and each
 public method of such a class, must be named by code in ``src/`` or
@@ -8,6 +8,9 @@ traced functions) spells it. Dunder methods are exempt. The benchmark's files
 are only parsed, never imported. A reference implementation that only tests
 compare against lives in the tests, as ``tests/test_hyper.py``'s per-token
 generated expert does.
+
+``moe.py`` and ``hyper.py`` neither raise nor import ``ConfigurationError``:
+``ModelConfig`` and ``Model`` check every value the layers receive.
 """
 
 import ast
@@ -63,3 +66,17 @@ def test_every_public_name_is_used_outside_the_tests():
         if all(p == path and line in own for p, line in sites.get(name, [])):
             unused.append(f"{path.relative_to(ROOT)}: {qualname}")
     assert not unused, "public names that nothing in src/ or perfbench/ uses: " + ", ".join(unused)
+
+
+def test_layers_raise_no_configuration_error():
+    """A value is checked where it enters: a config by ``ModelConfig``, the tasks' pool bounds and
+    ``Model``. The layers that ``Model`` builds trust what it hands them and raise no config error."""
+    offenders = []
+    for name in ("moe.py", "hyper.py"):
+        path = PACKAGE / name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id == "ConfigurationError":
+                offenders.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.alias) and node.name == "ConfigurationError":
+                offenders.append(f"{name}: imports ConfigurationError")
+    assert not offenders, "layers that raise or import ConfigurationError: " + ", ".join(offenders)

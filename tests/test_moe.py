@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypermoe import tensor as T
-from hypermoe.errors import ConfigurationError, DimensionError
+from hypermoe.errors import ContractError
 from hypermoe.moe import (
     ExpertBank,
     GateConfig,
@@ -25,7 +25,7 @@ def make_gate(h, n, k=1, noise=False, seed=0, w_gate=None):
     rng = Rng(seed)
     wg = Tensor(w_gate if w_gate is not None else rng.gaussian(h, n), requires_grad=True)
     wn = Tensor(rng.gaussian(h, n), requires_grad=True)
-    return GateConfig(n, k, noise, wg, wn)
+    return GateConfig(k, noise, wg, wn)
 
 
 def make_bank(h, d_ff, n, seed=1):
@@ -46,10 +46,6 @@ def decision_from_probs(probs, selected):
 
 
 class TestGate:
-    def test_k_greater_than_n_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_gate(4, 3, k=5)
-
     def test_hand_softmax_and_argmax(self):
         # identity-ish input so logits equal [0.1, 0.7, 0.2]
         cfg = make_gate(3, 3, w_gate=np.eye(3))
@@ -80,7 +76,7 @@ class TestGate:
 
     def test_training_noise_requires_rng(self):
         cfg = make_gate(4, 3, noise=True)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ContractError):
             noisy_topk_gate(Tensor(np.zeros((1, 4))), cfg, training=True)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -171,23 +167,6 @@ class TestMoeForward:
             assert np.all(np.isfinite(w.grad)) and np.any(w.grad[0] != 0)
             assert np.all(w.grad[1] == 0.0)
             assert w.grad_rows.tolist() == [0]
-
-    @pytest.mark.parametrize("s1,s2", [((2, 4, 6), (3, 6, 4)), ((2, 4, 6), (2, 4, 6)), ((4, 6), (6, 4))])
-    def test_bank_rejects_mismatched_stacks(self, s1, s2):
-        with pytest.raises(ConfigurationError, match="expert bank needs stacks"):
-            ExpertBank(Tensor(np.zeros(s1)), Tensor(np.zeros(s2)))
-
-    def test_expert_count_mismatch(self):
-        bank = make_bank(4, 6, 2)
-        dec = decision_from_probs(np.full((1, 3), 1 / 3), [[0]])
-        with pytest.raises(ConfigurationError):
-            moe_forward(Tensor(np.zeros((1, 4))), bank, dec)
-
-    def test_width_mismatch_names_both_shapes(self):
-        bank = make_bank(4, 6, 2)
-        dec = decision_from_probs(np.full((1, 2), 0.5), [[1]])
-        with pytest.raises(DimensionError, match=r"x \(1, 3\) vs W1 \(4, 6\)"):
-            moe_forward(Tensor(np.zeros((1, 3))), bank, dec)
 
     def test_gradients_flow_to_gate_and_experts(self):
         h, n = 4, 3

@@ -119,7 +119,7 @@ class TestSoftmax:
 
 class TestReductionsLosses:
     def test_mse_zero(self):
-        assert T.mse(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
+        assert T.mse(Tensor([1.0, 2.0]), np.array([1.0, 2.0])).item() == 0.0
 
     def test_mean(self):
         assert tmean(Tensor([2.0, 4.0])).item() == 3.0
@@ -166,7 +166,7 @@ class TestBackward:
     def test_hand_chain_rule(self):
         # loss = mse(w*x, y) at w=1, x=2, y=0 -> dL/dw = 2*(2)*2 = 8
         w = Tensor([1.0], requires_grad=True)
-        loss = T.mse(w * Tensor([2.0]), Tensor([0.0]))
+        loss = T.mse(w * Tensor([2.0]), np.array([0.0]))
         loss.backward()
         assert np.allclose(w.grad, [8.0])
 
