@@ -141,7 +141,8 @@ GRADCHECK_MAX_PARAMS = 100_000
 
 def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[dict]:
     """Analytic vs central-difference gradients, one row per parameter group and one per
-    expert of a stacked bank (``l0.experts.w1[2]``), so each error is scaled by its own largest gradient."""
+    expert of a stacked bank, the only 3-D parameters (``l0.experts.w1[2]``), so each error
+    is scaled by its own largest gradient."""
     model = build_model(cfg)
     if model.total_params() >= GRADCHECK_MAX_PARAMS:
         raise ConfigurationError(
@@ -163,7 +164,7 @@ def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[dict]:
 
     rows = []
     for name, p in model.params.items():
-        groups = [(f"{name}[{e}]", e) for e in range(len(p.data))] if ".experts." in name else [(name, ...)]
+        groups = [(f"{name}[{e}]", e) for e in range(len(p.data))] if p.data.ndim == 3 else [(name, ...)]
         for group, key in groups:
             def f(candidate: Tensor, _p=p, _key=key) -> float:
                 saved = _p.data[_key].copy()
@@ -295,7 +296,9 @@ _non_negative_int = _int_at_least(0)
 
 
 def _out_dir(text: str) -> str:
-    """An output directory path: neither it nor any existing parent may be a file."""
+    """An output directory path, not empty: neither it nor any existing parent may be a file."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
     path = os.path.abspath(text)
     while not os.path.exists(path):
         path = os.path.dirname(path)

@@ -19,7 +19,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DimensionError
-from .moe import ExpertBank
 from .tensor import Rng, Tensor
 
 
@@ -129,7 +128,8 @@ def stack_expert_weights(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return np.stack([np.swapaxes(w1, -1, -2), w2], axis=-3)
 
 
-def compress_expert_weights(bank: ExpertBank, pipeline: ConvPipeline) -> Tensor:
-    """One embedding row per expert: the bank's stacks as one batch of images, convolved and flattened."""
-    images = stack_expert_weights(bank.w1.data, bank.w2.data)
-    return Tensor(pipeline.forward(images).reshape(bank.num_experts, pipeline.spec.out_dim))
+def compress_expert_weights(bank: tuple[Tensor, Tensor], pipeline: ConvPipeline) -> Tensor:
+    """One embedding row per expert: the bank's (W1, W2) stacks as one batch of images, convolved and flattened."""
+    w1, w2 = bank
+    images = stack_expert_weights(w1.data, w2.data)
+    return Tensor(pipeline.forward(images).reshape(len(w1.data), pipeline.spec.out_dim))

@@ -3,12 +3,13 @@
 A token's generated expert depends only on its routing mask: invert the mask
 to find the unselected experts, average their embeddings through a small MLP
 into a selection embedding, fuse it with the layer embedding into a code k,
-and feed k to the shared generator for a (down, up) bottleneck expert that
-runs in parallel with the routed experts. A layer has at most C(N, K)
-distinct masks, so the embeddings and codes are computed once per distinct
-mask, and ``tensor.generated_expert`` builds each mask's D and U once and
-runs the tokens grouped by mask in one graph node. The per-token reference,
-which builds every token's D and U, lives in ``tests/test_hyper.py``.
+and feed k to the generator, one (W_down, W_up) tuple shared by every layer,
+for a (down, up) bottleneck expert that runs in parallel with the routed
+experts, whose bank is a (W1, W2) tuple of stacks (see ``moe``). A layer has
+at most C(N, K) distinct masks, so the embeddings and codes are computed once
+per distinct mask, and ``tensor.generated_expert`` builds each mask's D and U
+once and runs the tokens grouped by mask in one graph node. The per-token
+reference, which builds every token's D and U, lives in ``tests/test_hyper.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .moe import ExpertBank, GateDecision, moe_forward
+from .moe import GateDecision, moe_forward
 from .tensor import Tensor
 
 
@@ -53,22 +54,13 @@ class Projector:
 
 
 @dataclass
-class HyperNetParams:
-    """Shared generator weights; one instance per model, used by every layer."""
-
-    w_down: Tensor  # (h*b, t_k)
-    w_up: Tensor    # (b*h, t_k)
-    b: int
-
-
-@dataclass
 class HyperComponents:
     """Everything the HyperExpert pipeline needs, bundled for one model."""
 
     tables: EmbeddingTables
     mlp: SelectionMlp
     projector: Projector
-    hn: HyperNetParams
+    generator: tuple[Tensor, Tensor]  # shared by every layer: W_down (h*b, t_k), W_up (b*h, t_k)
     condition_on: str = "unselected"
 
 
@@ -84,7 +76,7 @@ def combine_embeddings(
     p: Tensor, layer_index: int, tables: EmbeddingTables, proj: Projector
 ) -> Tensor:
     """Concat the selection embedding with the layer embedding and project."""
-    l_rows = T.gather_rows(tables.layer, np.full(p.shape[0], layer_index))
+    l_rows = T.index(tables.layer, np.full(p.shape[0], layer_index))
     return proj(T.concat([p, l_rows], axis=-1))
 
 
@@ -111,11 +103,7 @@ def conditioning_mask(decision: GateDecision, condition_on: str) -> Tensor:
 
 
 def hypermoe_forward(
-    x: Tensor,
-    bank: ExpertBank,
-    decision: GateDecision,
-    hyper: HyperComponents,
-    layer_index: int,
+    x: Tensor, bank: tuple, decision: GateDecision, hyper: HyperComponents, layer_index: int
 ) -> Tensor:
     """Routed MoE output plus each token's generated HyperExpert, unscaled."""
     base = moe_forward(x, bank, decision)
@@ -123,6 +111,5 @@ def hypermoe_forward(
     mask = conditioning_mask(decision, hyper.condition_on)
     p = selection_embedding(Tensor(mask.data[first]), hyper.tables, hyper.mlp)
     codes = combine_embeddings(p, layer_index, hyper.tables, hyper.projector)
-    hn = hyper.hn
-    return base + T.generated_expert(x, codes, groups, hn.w_down, hn.w_up, hn.b)
+    return base + T.generated_expert(x, codes, groups, *hyper.generator)
 

@@ -19,16 +19,13 @@ from .errors import ConfigurationError
 from .hyper import (
     EmbeddingTables,
     HyperComponents,
-    HyperNetParams,
     Projector,
     SelectionMlp,
     hypermoe_forward,
 )
 from .moe import (
-    ExpertBank,
     GateConfig,
     GateDecision,
-    SharedMlp,
     expert_forward,
     load_balance_loss,
     moe_forward,
@@ -39,11 +36,13 @@ from .tasks import build_task
 from .tensor import Rng, Tensor
 
 MAX_PARAMS = 2**27  # far above the largest model in use (2.4M parameters); 1 GiB of float64 values
-# Values in a training step's largest array: at most batch_size * seq_len tokens times the widest row
-# a token adds to one array (its routed slots, top_k * max(d_ff, h), one slot for dense; the gate's
-# n_experts; the classes; hypermoe's generated D, h * b, at most one routing-mask group per token).
-# 2**26 (512 MiB) is 20x wide's 3.1M; above it a huge batch_size would fail in numpy mid-step.
+# Values in a forward's largest array: at most samples * seq_len tokens times the widest row a token
+# adds to one array (its routed slots, top_k * max(d_ff, h), one slot for dense; the gate's n_experts;
+# the classes; hypermoe's generated D, h * b, at most one routing-mask group per token). A forward runs
+# batch_size samples in training and min(eval_size, EVAL_CHUNK) in evaluation, whichever is more.
+# 2**26 (512 MiB) is 20x wide's 3.1M; above it a huge batch would fail in numpy mid-step.
 MAX_ACTIVATION = 2**26
+EVAL_CHUNK = 512  # samples per evaluation forward
 
 
 def sinusoidal_positions(seq_len: int, h: int) -> np.ndarray:
@@ -75,18 +74,19 @@ class Model:
         slots = 1 if cfg.layer_kind == "dense" else cfg.top_k
         generated = cfg.h * cfg.b if cfg.layer_kind == "hypermoe" else 0
         width = max(slots * max(cfg.d_ff, cfg.h), cfg.n_experts, getattr(self.task, "num_classes", 1), generated)
-        tokens = cfg.batch_size * self.task.seq_len
+        chunk = min(cfg.eval_size, EVAL_CHUNK)
+        tokens = max(cfg.batch_size, chunk) * self.task.seq_len
         if tokens * width > MAX_ACTIVATION:
-            raise ConfigurationError(f"batch_size {cfg.batch_size}: a step's array of {tokens} tokens x {width} values "
-                                     f"exceeds {MAX_ACTIVATION}; shrink batch_size, top_k * d_ff, n_experts or h * b")
+            name, value, array = (("batch_size", cfg.batch_size, "a step's") if cfg.batch_size >= chunk
+                                  else ("eval_size", cfg.eval_size, "an eval forward's"))
+            raise ConfigurationError(f"{name} {value}: {array} array of {tokens} tokens x {width} values "
+                                     f"exceeds {MAX_ACTIVATION}; shrink {name}, top_k * d_ff, n_experts or h * b")
 
     # -- construction -------------------------------------------------------
 
     def _param(self, name: str, shape: tuple[int, ...], std: float, row_streams: list[str] | None = None) -> Tensor:
         """New parameter drawn from a stream keyed by (seed, name), or with row r drawn from
         the stream keyed by (seed, row_streams[r])."""
-        if name in self.params:
-            raise ConfigurationError(f"duplicate parameter {name}")
         self._n_params += math.prod(shape)
         if self._n_params > MAX_PARAMS:
             raise ConfigurationError(f"over {MAX_PARAMS} parameters at {name}; shrink h, d_ff, n_experts or n_layers")
@@ -154,12 +154,12 @@ class Model:
             )
             # row e draws from stream l{i}.expert{e}.w*, so init values do not depend on the stacking
             n = cfg.n_experts
-            blk["bank"] = ExpertBank(
+            blk["bank"] = (
                 self._param(f"l{i}.experts.w1", (n, h, d_ff), inv_h, [f"l{i}.expert{e}.w1" for e in range(n)]),
                 self._param(f"l{i}.experts.w2", (n, d_ff, h), inv_ff, [f"l{i}.expert{e}.w2" for e in range(n)]),
             )
             if cfg.layer_kind == "moe_share":
-                blk["shared"] = SharedMlp(
+                blk["shared"] = (
                     self._param(f"l{i}.shared.w1", (h, d_ff), inv_h),
                     self._param(f"l{i}.shared.w2", (d_ff, h), inv_ff),
                 )
@@ -183,10 +183,9 @@ class Model:
                 self._param("hyper.proj.w", (cfg.t + cfg.t_prime, cfg.t_k), 1.0 / np.sqrt(cfg.t + cfg.t_prime)),
                 self._param("hyper.proj.b", (cfg.t_k,), 0.0),
             ),
-            hn=HyperNetParams(
+            generator=(
                 self._param("hyper.w_down", (cfg.h * cfg.b, cfg.t_k), gen_std),
                 self._param("hyper.w_up", (cfg.b * cfg.h, cfg.t_k), gen_std),
-                cfg.b,
             ),
             condition_on=cfg.condition_on,
         )
@@ -196,10 +195,10 @@ class Model:
     def _embed_inputs(self, inputs) -> Tensor:
         """Token (and scalar) inputs to a (B, S, h) tensor with positions added."""
         if self.task.kind == "classification":
-            x = T.gather_rows(self.embed, np.asarray(inputs))
+            x = T.index(self.embed, np.asarray(inputs))
         else:
             ids, xs = inputs
-            prefix = T.gather_rows(self.embed, np.asarray(ids)[:, None])
+            prefix = T.index(self.embed, np.asarray(ids)[:, None])
             scalars = Tensor(np.asarray(xs, dtype=np.float64)[:, None])
             lifted = scalars @ self.scalar_w + self.scalar_b
             x = T.concat([prefix, T.reshape(lifted, (len(xs), 1, self.cfg.h))], axis=1)
@@ -257,7 +256,7 @@ class Model:
             slot = self._ffn_slot(i, tokens, training, noise_rng, aux, decisions)
             x = x + T.reshape(slot, (batch, seq, cfg.h))
         x = T.layer_norm(x, *self.ln_f)
-        last = T.slice_view(x, (slice(None), seq - 1, slice(None)))
+        last = T.index(x, (slice(None), seq - 1))
         return ForwardResult(last @ self.head_w + self.head_b, aux, decisions)
 
     # -- bookkeeping ---------------------------------------------------------

@@ -4,7 +4,8 @@ Noisy top-k gating over N expert FFNs, sparse combination of the selected
 experts' outputs, the load-balancing auxiliary loss, and the MoE-Share
 baseline (routed experts plus one always-on shared MLP).
 
-A layer's N experts are stored stacked: one W1 of shape (N, h, d_ff) and one
+An expert, the shared MLP and a layer's expert bank are each a plain
+(W1, W2) tuple. A bank stacks its N experts: W1 of shape (N, h, d_ff) and
 W2 of shape (N, d_ff, h), whose row e is expert e. Dispatch is slot-ordered:
 each token's K routing decisions are T*K flat slots. ``expert_forward``,
 given the gate decision, records one ``tensor.routed_experts`` node per
@@ -43,26 +44,6 @@ class GateDecision:
     binary_mask: np.ndarray     # (T, N) 0/1, exactly K ones per row
 
 
-@dataclass
-class ExpertBank:
-    """The N expert FFNs of one MoE layer, stacked: row e of ``w1`` and ``w2`` is expert e."""
-
-    w1: Tensor  # (N, h, d_ff)
-    w2: Tensor  # (N, d_ff, h)
-
-    @property
-    def num_experts(self) -> int:
-        return self.w1.shape[0]
-
-
-@dataclass
-class SharedMlp:
-    """MoE-Share baseline: one expert-sized MLP applied to every token."""
-
-    w1: Tensor  # (h, d_ff)
-    w2: Tensor  # (d_ff, h)
-
-
 def noisy_topk_gate(
     x: Tensor,
     cfg: GateConfig,
@@ -89,7 +70,7 @@ def noisy_topk_gate(
     mask = np.zeros(probs.shape)
     np.put_along_axis(mask, selected, 1.0, axis=1)
 
-    gate_values = T.take_per_row(probs, selected)
+    gate_values = T.index(probs, (np.arange(len(selected))[:, None], selected))
     return GateDecision(probs, selected, gate_values, mask)
 
 
@@ -102,16 +83,15 @@ def expert_forward(x: Tensor, expert: tuple, decision: GateDecision | None = Non
     return T.routed_experts(x, w1, w2, decision.selected, decision.gate_values)
 
 
-def moe_forward(x: Tensor, bank: ExpertBank, decision: GateDecision) -> Tensor:
-    """y_i = sum_k gate_ik * E_sel(x_i) over the K experts token i selects, in one graph node."""
-    return expert_forward(x, (bank.w1, bank.w2), decision)
+def moe_forward(x: Tensor, bank: tuple, decision: GateDecision) -> Tensor:
+    """y_i = sum_k gate_ik * E_sel(x_i) over the K experts token i selects from the (W1, W2)
+    stacks ``bank``, in one graph node."""
+    return expert_forward(x, bank, decision)
 
 
-def moe_share_forward(
-    x: Tensor, bank: ExpertBank, shared: SharedMlp, decision: GateDecision
-) -> Tensor:
-    """MoE output plus the shared always-on MLP."""
-    return moe_forward(x, bank, decision) + expert_forward(x, (shared.w1, shared.w2))
+def moe_share_forward(x: Tensor, bank: tuple, shared: tuple, decision: GateDecision) -> Tensor:
+    """MoE output plus the shared always-on (W1, W2) MLP."""
+    return moe_forward(x, bank, decision) + expert_forward(x, shared)
 
 
 def load_balance_loss(decision: GateDecision) -> Tensor:

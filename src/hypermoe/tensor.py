@@ -11,7 +11,9 @@ tensor only through ``accumulate_grad`` and is never written into, so a rule
 may hand on its ``g``, views of it, or one array to several inputs.
 Under ``no_grad()`` ops link nothing. An open ``Tape`` only observes: it lists
 the ops that link a graph inside it, and ``backward`` never reads it. Only the
-broadcasting the rest of the package needs is supported.
+broadcasting the rest of the package needs is supported: one ``index`` op
+serves every gather and slice, and ``matmul`` runs a 2-D right operand (a
+weight) as one GEMM over the flattened rows and batches only 3-D @ 3-D.
 
 Importing this module sets three glibc allocator thresholds for the whole
 process; see ``MMAP_THRESHOLD_BYTES``.
@@ -277,10 +279,23 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b. A 2-D ``b`` (a weight) takes single GEMMs over the rows of ``a`` flattened to
+    (-1, k), so its gradient is one (k, rows) @ (rows, n) product; a 3-D ``b`` (attention)
+    multiplies batch by batch, and broadcast axes sum in its gradient."""
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    if a.data.ndim > 2 and b.data.ndim == 2:
-        return _matmul_flat(a, b)
+    if b.data.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],)))
+
+        def back(g: Array) -> None:
+            g2 = g.reshape(-1, b.shape[1])
+            if a.requires_grad:
+                a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b.accumulate_grad(a2.T @ g2)
+
+        return _record(out, (a, b), back)
     out = Tensor(np.matmul(a.data, b.data))
 
     def back(g: Array) -> None:
@@ -290,25 +305,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b.accumulate_grad(_unbroadcast(gb, b.shape))
-
-    return _record(out, (a, b), back)
-
-
-def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
-    """(..., k) @ (k, n) as single GEMMs over the rows of ``a`` flattened to (-1, k).
-
-    The weight gradient is then one (k, rows) @ (rows, n) product, not a
-    stack of per-batch products that ``_unbroadcast`` would sum.
-    """
-    a2 = a.data.reshape(-1, a.shape[-1])
-    out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],)))
-
-    def back(g: Array) -> None:
-        g2 = g.reshape(-1, b.shape[1])
-        if a.requires_grad:
-            a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(a2.T @ g2)
 
     return _record(out, (a, b), back)
 
@@ -331,16 +327,6 @@ def transpose_last2(x: Tensor) -> Tensor:
     return _record(out, (x,), back)
 
 
-def slice_view(x: Tensor, key: tuple) -> Tensor:
-    """Differentiable (possibly strided) slice of x."""
-    out = Tensor(x.data[key].copy())
-
-    def back(g: Array) -> None:
-        x.accumulate_grad(_scatter_add(x.shape, key, g))
-
-    return _record(out, (x,), back)
-
-
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     widths = [p.shape[axis] for p in parts]
@@ -358,7 +344,7 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# gather / combine
+# indexing and grouped FFNs
 
 
 def _scatter_add(shape: tuple[int, ...], key, g: Array) -> Array:
@@ -368,25 +354,15 @@ def _scatter_add(shape: tuple[int, ...], key, g: Array) -> Array:
     return out
 
 
-def gather_rows(table: Tensor, ids: Array) -> Tensor:
-    """Index rows of a 2-d table with an integer array of any shape."""
-    ids = np.asarray(ids, dtype=np.int64)
-    out = Tensor(table.data[ids])
+def index(x: Tensor, key) -> Tensor:
+    """``x.data[key]`` for any numpy key: an integer array (rows of a table), a tuple of integer
+    arrays (one column per row) or basic slices. Repeated indices add up in the gradient. The
+    output never shares memory with ``x``: only a result that is a view is copied."""
+    data = x.data[key]
+    out = Tensor(data.copy() if np.may_share_memory(data, x.data) else data)
 
     def back(g: Array) -> None:
-        table.accumulate_grad(_scatter_add(table.shape, ids.reshape(-1), g.reshape(-1, table.shape[-1])))
-
-    return _record(out, (table,), back)
-
-
-def take_per_row(x: Tensor, idx: Array) -> Tensor:
-    """Per-row column gather: out[i, k] = x[i, idx[i, k]]."""
-    idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(x.shape[0])[:, None]
-    out = Tensor(x.data[rows, idx])
-
-    def back(g: Array) -> None:
-        x.accumulate_grad(_scatter_add(x.shape, (rows, idx), g))
+        x.accumulate_grad(_scatter_add(x.shape, key, g))
 
     return _record(out, (x,), back)
 
@@ -460,15 +436,15 @@ def routed_experts(x: Tensor, w1: Tensor, w2: Tensor, selected: Array, gates: Te
     return _record(out, (x, gates, w1, w2), back)
 
 
-def generated_expert(
-    x: Tensor, codes: Tensor, groups: Array, w_down: Tensor, w_up: Tensor, b: int
-) -> Tensor:
+def generated_expert(x: Tensor, codes: Tensor, groups: Array, w_down: Tensor, w_up: Tensor) -> Tensor:
     """Each token's generated bottleneck expert: out[t] = relu(x[t] D_u) U_u with u = groups[t].
 
     ``codes`` is (U, t_k), one code k_u per group; D_u = reshape(W_down k_u, (h, b))
-    and U_u = reshape(W_up k_u, (b, h)) are built once per group, and the tokens run grouped.
+    and U_u = reshape(W_up k_u, (b, h)), with b = rows(W_down) / h, are built once per
+    group, and the tokens run grouped.
     """
     n_groups, h = codes.shape[0], x.shape[-1]
+    b = w_down.shape[0] // h
     down = (codes.data @ w_down.data.T).reshape(n_groups, h, b)
     up = (codes.data @ w_up.data.T).reshape(n_groups, b, h)
     y, state = _grouped_ffn(x.data, groups, 1, down, up)

@@ -10,12 +10,11 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .errors import DivergenceError
-from .model import ForwardResult, Model
+from .model import EVAL_CHUNK, ForwardResult, Model
 from .tasks import SyntheticTask, generate_task_batch
 from .tensor import Rng, Tape, Tensor
 
 METRICS_HEADER = ["step", "task_loss", "aux_loss", "total_loss", "util_entropy"]
-EVAL_CHUNK = 512  # samples per evaluation forward
 
 
 class Adam:
@@ -179,7 +178,7 @@ def evaluate(model: Model, n: int) -> dict:
     hist = np.zeros(n_experts)
     correct = 0
     sq_err = 0.0
-    total = len(targets)
+    total = len(targets)  # at most eval_size: Model's activation bound covers each chunk
     for lo in range(0, total, EVAL_CHUNK):
         hi = min(lo + EVAL_CHUNK, total)
         batch_inputs = (

@@ -15,14 +15,13 @@ from hypermoe.conv import ConvPipelineSpec, Stage, shape_chain
 from hypermoe.hyper import (
     EmbeddingTables,
     HyperComponents,
-    HyperNetParams,
     Projector,
     SelectionMlp,
     conditioning_mask,
     hypermoe_forward,
 )
 from hypermoe.model import build_model
-from hypermoe.moe import ExpertBank, GateConfig, GateDecision, load_balance_loss, moe_forward, noisy_topk_gate
+from hypermoe.moe import GateConfig, GateDecision, load_balance_loss, moe_forward, noisy_topk_gate
 from hypermoe.tensor import Rng, Tensor
 from hypermoe.training import train_model
 
@@ -45,7 +44,7 @@ def random_layer(rng: Rng, zero_generator: bool):
     gate = GateConfig(
         k, False, Tensor(rng.gaussian(h, n)), Tensor(rng.gaussian(h, n))
     )
-    bank = ExpertBank(
+    bank = (
         Tensor(np.stack([rng.gaussian(h, d_ff) for _ in range(n)])),
         Tensor(np.stack([rng.gaussian(d_ff, h) for _ in range(n)])),
     )
@@ -57,7 +56,7 @@ def random_layer(rng: Rng, zero_generator: bool):
             Tensor(rng.gaussian(t, t)), Tensor(rng.gaussian(t)),
         ),
         Projector(Tensor(rng.gaussian(t + tp, tk)), Tensor(rng.gaussian(tk))),
-        HyperNetParams(Tensor(gen(h * b, tk)), Tensor(gen(b * h, tk)), b),
+        (Tensor(gen(h * b, tk)), Tensor(gen(b * h, tk))),
     )
     x = Tensor(rng.gaussian(n_tok, h))
     return x, gate, bank, hyper

@@ -20,7 +20,7 @@ from hypermoe.cli import (
 from hypermoe.config import ModelConfig
 from hypermoe.errors import ConfigurationError
 from hypermoe.hyper import EmbeddingTables, HyperComponents
-from hypermoe.model import MAX_ACTIVATION, build_model
+from hypermoe.model import EVAL_CHUNK, MAX_ACTIVATION, build_model
 from hypermoe.tasks import MAX_INSTANCES
 from hypermoe.tensor import Tensor
 from hypermoe.training import evaluate, train_model
@@ -128,6 +128,23 @@ class TestInputBounds:
         assert build_model(ModelConfig.from_dict({**TINY, "batch_size": largest})).cfg.batch_size == largest
         with pytest.raises(ConfigurationError, match="^batch_size "):
             build_model(ModelConfig.from_dict({**TINY, "batch_size": largest + 1}))
+
+    def test_eval_chunk_above_the_activation_bound_exit_2_names_eval_size(self, tmp_path, capsys):
+        # one sample a step fits, but an eval forward of EVAL_CHUNK samples would need 1536 x 2**18 values
+        path = write_config(tmp_path, layer_kind="dense", h=2, b=1, d_ff=2**18, moduli=[5, 3, 4, 6], batch_size=1,
+                            eval_size=EVAL_CHUNK)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: eval_size {EVAL_CHUNK}:") and err.count("\n") == 1
+
+    def test_largest_eval_chunk_under_the_activation_bound_builds(self):
+        # each of 3 tokens a sample adds a dense FFN row of d_ff values
+        cfg = {**TINY, "layer_kind": "dense", "h": 2, "b": 1, "d_ff": 2**16, "moduli": [5, 3, 4, 6], "batch_size": 1}
+        largest = MAX_ACTIVATION // (3 * 2**16)
+        assert largest < EVAL_CHUNK
+        assert build_model(ModelConfig.from_dict({**cfg, "eval_size": largest})).cfg.eval_size == largest
+        with pytest.raises(ConfigurationError, match=f"^eval_size {largest + 1}: "):
+            build_model(ModelConfig.from_dict({**cfg, "eval_size": largest + 1}))
 
 
 class TestEvalCommand:
@@ -362,6 +379,21 @@ def test_out_naming_a_file_exit_2_before_work(command, out, config_path, tmp_pat
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert "--out" in err and str(tmp_path / "file") in err
+
+
+@pytest.mark.parametrize("command", ["train", "analyze-embeddings", "compare"])
+def test_empty_out_exit_2_before_work(command, config_path, tmp_path, capsys, monkeypatch):
+    # an empty --out once failed in makedirs (exit 3), or made compare skip its csv
+    import hypermoe.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "build_model", lambda cfg: calls.append(cfg) or build_model(cfg))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: calls.append(path) or load_checkpoint(path))
+    source = ["--checkpoint", str(tmp_path / "ck.bin")] if command == "analyze-embeddings" else ["--config", config_path]
+    assert main([command, *source, "--out", ""]) == EXIT_CONFIG
+    assert calls == []
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "--out" in err
 
 
 def test_compare_summary_fields_are_plain_floats(config_path, capsys):

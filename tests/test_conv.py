@@ -15,7 +15,6 @@ from hypermoe.conv import (
     stage_output_shape,
 )
 from hypermoe.errors import ConfigurationError, DimensionError
-from hypermoe.moe import ExpertBank
 from hypermoe.tensor import Rng, Tensor
 
 
@@ -156,7 +155,7 @@ class TestStageForward:
 
 def small_bank(h=6, d_ff=9, n=3, seed=40):
     rng = Rng(seed)
-    return ExpertBank(
+    return (
         Tensor(np.stack([rng.gaussian(h, d_ff) for _ in range(n)]), requires_grad=True),
         Tensor(np.stack([rng.gaussian(d_ff, h) for _ in range(n)]), requires_grad=True),
     )
@@ -165,10 +164,10 @@ def small_bank(h=6, d_ff=9, n=3, seed=40):
 class TestCompression:
     def test_stack_layout(self):
         bank = small_bank(n=1)
-        img = stack_expert_weights(bank.w1.data[0], bank.w2.data[0])
+        img = stack_expert_weights(bank[0].data[0], bank[1].data[0])
         assert img.shape == (2, 9, 6)
-        assert np.array_equal(img[0], bank.w1.data[0].T)
-        assert np.array_equal(img[1], bank.w2.data[0])
+        assert np.array_equal(img[0], bank[0].data[0].T)
+        assert np.array_equal(img[1], bank[1].data[0])
 
     def test_output_shape_is_n_by_out_dim(self):
         bank = small_bank()
@@ -182,16 +181,16 @@ class TestCompression:
         spec = default_pipeline_spec(9, 6, out_dim=5)
         pipe = ConvPipeline(spec, (2, 9, 6), Rng(45))
         emb = compress_expert_weights(bank, pipe)
-        for e, (w1, w2) in enumerate(zip(bank.w1.data, bank.w2.data)):
+        for e, (w1, w2) in enumerate(zip(bank[0].data, bank[1].data)):
             row = pipe.forward(stack_expert_weights(w1, w2)).reshape(-1)
             assert np.max(np.abs(emb.data[e] - row)) < 1e-12
         assert not emb.requires_grad
 
     def test_zero_weights_zero_embedding(self):
         bank = small_bank()
-        zero_bank = ExpertBank(
-            Tensor(np.concatenate([np.zeros((1, 6, 9)), bank.w1.data[1:]])),
-            Tensor(np.concatenate([np.zeros((1, 9, 6)), bank.w2.data[1:]])),
+        zero_bank = (
+            Tensor(np.concatenate([np.zeros((1, 6, 9)), bank[0].data[1:]])),
+            Tensor(np.concatenate([np.zeros((1, 9, 6)), bank[1].data[1:]])),
         )
         spec = default_pipeline_spec(9, 6, out_dim=5)
         pipe = ConvPipeline(spec, (2, 9, 6), Rng(42))
@@ -205,7 +204,7 @@ class TestCompression:
         pipe = ConvPipeline(spec, (2, 9, 6), Rng(43))
         emb = compress_expert_weights(bank, pipe)
         perm = [2, 0, 1]
-        permuted = ExpertBank(Tensor(bank.w1.data[perm]), Tensor(bank.w2.data[perm]))
+        permuted = (Tensor(bank[0].data[perm]), Tensor(bank[1].data[perm]))
         emb_p = compress_expert_weights(permuted, pipe)
         assert np.array_equal(emb_p.data, emb.data[perm])
 

@@ -1,19 +1,24 @@
-"""No input ends in a traceback: property tests over the config and checkpoint surfaces.
+"""No input ends in a traceback: property tests over the config, checkpoint and argument surfaces.
 
 Hypothesis drives ``cli.main`` over (a) a valid tiny config with one field
 replaced by a wrong type, null, NaN or an infinity, a negative number, zero, a
-huge integer or a nested value, and (b) a tiny checkpoint whose manifest
-entry, shape, offset or embedded config is mutated, its sha256 recomputed.
-Every example must end in one of the documented exit codes, with at most one
-line on stderr. A huge integer is drawn only for a field where it is illegal
-(``steps`` takes any count, and a run of 2**31 steps is slow, not wrong), so
-every example runs in well under a second.
+huge integer or a nested value, (b) a tiny checkpoint whose manifest entry,
+shape, offset or embedded config is mutated, its sha256 recomputed, and (c) a
+valid command line of each subcommand with one flag's value replaced by a
+non-integer, a negative number, zero, a huge integer, an empty string, or a
+path that is a file, a directory or missing. Every example must end in one of
+the documented exit codes, with at most one line on stderr. A huge integer is
+drawn only where it is illegal (``steps`` and ``bench --steps`` take any
+count, and 2**31 steps are slow, not wrong), so every example runs in well
+under a second.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import shutil
 import struct
 from dataclasses import fields
 
@@ -155,4 +160,72 @@ def test_mutated_checkpoint_exits_cleanly(edit, command, checkpoint_bytes, workd
     argv = [command, "--checkpoint", str(path)]
     argv += ["--n", "8"] if command == "eval" else ["--out", str(workdir / "emb")]
     code, err = run(argv)
+    assert_clean_exit(code, err)
+
+
+# A valid command line of each subcommand, flag by flag, on a config small enough for gradcheck.
+MICRO = {**FAST, "h": 4, "d_ff": 4, "n_layers": 1, "t": 2, "t_prime": 2, "t_k": 2, "b": 1, "batch_size": 4}
+COMMANDS = {
+    "train": {"--config": "<config>", "--out": "<out>", "--seed": "0"},
+    "eval": {"--checkpoint": "<checkpoint>", "--n": "8"},
+    "bench": {"--config": "<config>", "--phase": "eval", "--steps": "3", "--warmup": "1", "--methods": "moe",
+              "--seed": "0"},
+    "gradcheck": {"--config": "<config>", "--seed": "0"},
+    "analyze-embeddings": {"--checkpoint": "<checkpoint>", "--layer": "0", "--out": "<out>"},
+    "compare": {"--config": "<config>", "--methods": "moe", "--seeds": "0", "--out": "<out>"},
+}
+LEGAL_FLAG_WHEN_HUGE = {("bench", "--steps")}
+
+
+@st.composite
+def one_flag_wrong(draw) -> list[str]:
+    """A valid argument list with one flag's value replaced; a path is named by its kind, as ``<file>``."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = dict(COMMANDS[command])
+    flag = draw(st.sampled_from(sorted(flags)))
+    kinds = [
+        st.sampled_from(["abc", "1.5", "1e3", "0x10", " 7"]),  # not an integer
+        st.integers(-(2**70), -1).map(str),
+        st.just("0"),
+        st.just(""),
+        st.sampled_from(["<file>", "<dir>", "<missing>"]),
+    ]
+    if (command, flag) not in LEGAL_FLAG_WHEN_HUGE:
+        kinds.append(st.integers(2**31, 2**200).map(str))
+    flags[flag] = draw(st.one_of(kinds))
+    return [command, *(part for pair in flags.items() for part in pair)]
+
+
+@pytest.fixture(scope="module")
+def cli_paths(workdir) -> dict:
+    """What each ``<kind>`` placeholder of ``one_flag_wrong`` names: files, a directory and a missing path."""
+    config = workdir / "micro.json"
+    config.write_text(json.dumps(MICRO))
+    checkpoint = workdir / "micro.bin"
+    save_checkpoint(build_model(ModelConfig.from_dict(MICRO)), str(checkpoint))
+    text = workdir / "notes.txt"
+    text.write_text("not a config\n")
+    (workdir / "a_dir").mkdir()
+    return {
+        "<config>": str(config),
+        "<checkpoint>": str(checkpoint),
+        "<out>": str(workdir / "out"),
+        "<file>": str(text),
+        "<dir>": str(workdir / "a_dir"),
+        "<missing>": str(workdir / "missing" / "deeper"),
+    }
+
+
+@settings(max_examples=200)
+@given(argv=one_flag_wrong())
+def test_command_line_with_one_wrong_flag_exits_cleanly(argv, cli_paths, workdir):
+    # an --out of "abc" or "0" is a legal relative path: keep what it writes out of the checkout;
+    # an --out of <missing> creates it, so remove it for the next example
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        code, err = run([cli_paths.get(part, part) for part in argv])
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(workdir / "missing", ignore_errors=True)
     assert_clean_exit(code, err)

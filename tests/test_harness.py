@@ -621,11 +621,18 @@ class TestCheckpointManifest:
             (lambda m: m["config"].update(moduli=[1025]), "invalid embedded config: moduli"),
             (lambda m: m["config"].update(h=100000), "invalid embedded config: .*shrink h, d_ff, n_experts or n_layers"),
             (lambda m: m["config"].update(renormalize_gate=False), "invalid embedded config: .*renormalize_gate"),
+            (
+                lambda m: m["config"].update(
+                    layer_kind="dense", d_ff=2**16, batch_size=1, moduli=[5, 3, 4, 6], eval_size=512
+                ),
+                "invalid embedded config: eval_size 512: an eval forward's array",
+            ),
         ],
         ids=[
             "format-1", "format-str", "params-not-list", "entry-not-object", "name-not-str", "shape-not-ints",
             "offset-missing", "offset-negative", "name-twice", "config-not-object", "config-bad-field",
             "config-pool-too-large", "config-too-many-parameters", "config-renormalize-gate",
+            "config-eval-chunk-too-large",
         ],
     )
     def test_malformed_manifest_exits_4(self, path, edit, message, capsys):

@@ -11,7 +11,6 @@ from hypermoe.errors import DimensionError
 from hypermoe.hyper import (
     EmbeddingTables,
     HyperComponents,
-    HyperNetParams,
     Projector,
     SelectionMlp,
     _group_by_mask,
@@ -40,13 +39,14 @@ class GeneratedExpert:
     up: Tensor    # (b, h)
 
 
-def generate_hyperexpert(k: Tensor, hn: HyperNetParams) -> GeneratedExpert:
-    """Generate one bottleneck expert from a single (1, t_k) embedding."""
-    if k.shape[-1] != hn.w_down.shape[1]:
-        raise DimensionError(f"embedding width {k.shape} does not match t_k={hn.w_down.shape[1]}")
-    h = hn.w_down.shape[0] // hn.b
-    down = T.reshape(k @ T.transpose_last2(hn.w_down), (h, hn.b))
-    up = T.reshape(k @ T.transpose_last2(hn.w_up), (hn.b, h))
+def generate_hyperexpert(k: Tensor, generator: tuple, h: int) -> GeneratedExpert:
+    """Generate one width-h bottleneck expert from a single (1, t_k) embedding and (W_down, W_up)."""
+    w_down, w_up = generator
+    if k.shape[-1] != w_down.shape[1]:
+        raise DimensionError(f"embedding width {k.shape} does not match t_k={w_down.shape[1]}")
+    b = w_down.shape[0] // h
+    down = T.reshape(k @ T.transpose_last2(w_down), (h, b))
+    up = T.reshape(k @ T.transpose_last2(w_up), (b, h))
     return GeneratedExpert(down, up)
 
 
@@ -81,10 +81,9 @@ def make_hyper(h, n, n_layers, t, tp, tk, b, seed=20, condition_on="unselected",
             Tensor(rng.gaussian(t + tp, tk), requires_grad=True),
             Tensor(np.zeros(tk), requires_grad=True),
         ),
-        hn=HyperNetParams(
+        generator=(
             Tensor(gen(h * b, tk), requires_grad=True),
             Tensor(gen(b * h, tk), requires_grad=True),
-            b,
         ),
         condition_on=condition_on,
     )
@@ -166,30 +165,30 @@ class TestCombineEmbeddings:
 class TestGenerateHyperexpert:
     def test_basis_vector_extracts_column(self):
         rng = Rng(5)
-        hn = HyperNetParams(Tensor(rng.gaussian(6, 3)), Tensor(rng.gaussian(6, 3)), 2)
+        w_down, w_up = Tensor(rng.gaussian(6, 3)), Tensor(rng.gaussian(6, 3))
         k = Tensor([[1.0, 0.0, 0.0]])
-        gen = generate_hyperexpert(k, hn)
-        assert np.allclose(gen.down.data, hn.w_down.data[:, 0].reshape(3, 2))
-        assert np.allclose(gen.up.data, hn.w_up.data[:, 0].reshape(2, 3))
+        gen = generate_hyperexpert(k, (w_down, w_up), 3)
+        assert np.allclose(gen.down.data, w_down.data[:, 0].reshape(3, 2))
+        assert np.allclose(gen.up.data, w_up.data[:, 0].reshape(2, 3))
 
     def test_zero_embedding(self):
-        hn = HyperNetParams(Tensor(Rng(6).gaussian(6, 3)), Tensor(Rng(7).gaussian(6, 3)), 2)
-        gen = generate_hyperexpert(Tensor(np.zeros((1, 3))), hn)
+        generator = (Tensor(Rng(6).gaussian(6, 3)), Tensor(Rng(7).gaussian(6, 3)))
+        gen = generate_hyperexpert(Tensor(np.zeros((1, 3))), generator, 3)
         assert np.all(gen.down.data == 0.0) and np.all(gen.up.data == 0.0)
 
     def test_matches_matvec_oracle(self):
         rng = Rng(8)
         h, b, tk = 2, 1, 2
-        hn = HyperNetParams(Tensor(rng.gaussian(h * b, tk)), Tensor(rng.gaussian(b * h, tk)), b)
+        w_down, w_up = Tensor(rng.gaussian(h * b, tk)), Tensor(rng.gaussian(b * h, tk))
         k = rng.gaussian(1, tk)
-        gen = generate_hyperexpert(Tensor(k), hn)
-        assert np.array_equal(gen.down.data, (hn.w_down.data @ k[0]).reshape(h, b))
-        assert np.array_equal(gen.up.data, (hn.w_up.data @ k[0]).reshape(b, h))
+        gen = generate_hyperexpert(Tensor(k), (w_down, w_up), h)
+        assert np.array_equal(gen.down.data, (w_down.data @ k[0]).reshape(h, b))
+        assert np.array_equal(gen.up.data, (w_up.data @ k[0]).reshape(b, h))
 
     def test_width_mismatch(self):
-        hn = HyperNetParams(Tensor(np.zeros((6, 3))), Tensor(np.zeros((6, 3))), 2)
+        generator = (Tensor(np.zeros((6, 3))), Tensor(np.zeros((6, 3))))
         with pytest.raises(DimensionError):
-            generate_hyperexpert(Tensor(np.zeros((1, 4))), hn)
+            generate_hyperexpert(Tensor(np.zeros((1, 4))), generator, 3)
 
 
 class TestHyperexpertForward:
@@ -231,15 +230,14 @@ class TestGeneratedExpert:
         rng = Rng(seed)
         x = Tensor(rng.gaussian(n_tokens, h), requires_grad=True)
         codes = Tensor(rng.gaussian(int(groups.max()) + 1, tk), requires_grad=True)
-        hn = HyperNetParams(
+        generator = (
             Tensor(rng.gaussian(h * b, tk, std=0.3), requires_grad=True),
             Tensor(rng.gaussian(b * h, tk, std=0.3), requires_grad=True),
-            b,
         )
-        leaves = (x, codes, hn.w_down, hn.w_up)
+        leaves = (x, codes, *generator)
         weights = Tensor(rng.gaussian(n_tokens, h))
 
-        out = T.generated_expert(x, codes, groups, hn.w_down, hn.w_up, b)
+        out = T.generated_expert(x, codes, groups, *generator)
         T.tsum(out * weights).backward()
         fast = [out.data] + [t.grad for t in leaves]
         for t in leaves:
@@ -247,8 +245,8 @@ class TestGeneratedExpert:
 
         rows = [
             hyperexpert_forward(
-                T.slice_view(x, (slice(i, i + 1),)),
-                generate_hyperexpert(T.slice_view(codes, (slice(u, u + 1),)), hn),
+                T.index(x, (slice(i, i + 1),)),
+                generate_hyperexpert(T.index(codes, (slice(u, u + 1),)), generator, h),
             )
             for i, u in enumerate(groups)
         ]
@@ -312,7 +310,7 @@ class TestHypermoeForward:
         for i in range(2):
             p_i = selection_embedding(Tensor(mask.data[i : i + 1]), hyper.tables, hyper.mlp)
             k_i = combine_embeddings(p_i, 1, hyper.tables, hyper.projector)
-            gen = generate_hyperexpert(k_i, hyper.hn)
+            gen = generate_hyperexpert(k_i, hyper.generator, x.shape[1])
             e_i = hyperexpert_forward(Tensor(x.data[i : i + 1]), gen)
             assert np.max(np.abs(out.data[i] - (base.data[i] + e_i.data[0]))) < 1e-12
 
@@ -343,7 +341,7 @@ class TestHypermoeForward:
         x, bank, gate, hyper = setup_layer(condition_on="selected")
         dec = noisy_topk_gate(x, gate)
         out_sel = hypermoe_forward(x, bank, dec, hyper, 0)
-        hyper_uns = HyperComponents(hyper.tables, hyper.mlp, hyper.projector, hyper.hn, "unselected")
+        hyper_uns = HyperComponents(hyper.tables, hyper.mlp, hyper.projector, hyper.generator, "unselected")
         out_uns = hypermoe_forward(x, bank, dec, hyper_uns, 0)
         assert not np.allclose(out_sel.data, out_uns.data)
 
@@ -355,10 +353,10 @@ class TestHypermoeForward:
             "mlp.w1": hyper.mlp.w1,
             "mlp.w2": hyper.mlp.w2,
             "proj.w": hyper.projector.w,
-            "w_down": hyper.hn.w_down,
-            "w_up": hyper.hn.w_up,
+            "w_down": hyper.generator[0],
+            "w_up": hyper.generator[1],
             "gate": gate.w_gate,
-            "experts.w1": bank.w1,
+            "experts.w1": bank[0],
         }
 
         dec = noisy_topk_gate(x, gate)
@@ -407,7 +405,7 @@ class TestGroupByMask:
         for i in range(len(self.SELECTED)):
             p_i = selection_embedding(Tensor(mask.data[i : i + 1]), hyper.tables, hyper.mlp)
             k_i = combine_embeddings(p_i, 1, hyper.tables, hyper.projector)
-            e_i = hyperexpert_forward(Tensor(x.data[i : i + 1]), generate_hyperexpert(k_i, hyper.hn))
+            e_i = hyperexpert_forward(Tensor(x.data[i : i + 1]), generate_hyperexpert(k_i, hyper.generator, x.shape[1]))
             assert np.max(np.abs(out.data[i] - (base.data[i] + e_i.data[0]))) < 1e-12
 
 

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from hypermoe import tensor as T
 from hypermoe.errors import ContractError
 from hypermoe.moe import (
-    ExpertBank,
     GateConfig,
     GateDecision,
-    SharedMlp,
     expert_forward,
     load_balance_loss,
     moe_forward,
@@ -30,7 +28,7 @@ def make_gate(h, n, k=1, noise=False, seed=0, w_gate=None):
 
 def make_bank(h, d_ff, n, seed=1):
     rng = Rng(seed)
-    return ExpertBank(
+    return (
         Tensor(np.stack([rng.gaussian(h, d_ff) for _ in range(n)]), requires_grad=True),
         Tensor(np.stack([rng.gaussian(d_ff, h) for _ in range(n)]), requires_grad=True),
     )
@@ -42,7 +40,7 @@ def decision_from_probs(probs, selected):
     mask = np.zeros_like(probs)
     np.put_along_axis(mask, selected, 1.0, axis=1)
     pt = Tensor(probs)
-    return GateDecision(pt, selected, T.take_per_row(pt, selected), mask)
+    return GateDecision(pt, selected, T.index(pt, (np.arange(len(selected))[:, None], selected)), mask)
 
 
 class TestGate:
@@ -111,7 +109,7 @@ class TestExpertForward:
 
     def test_zero_input(self):
         bank = make_bank(4, 8, 1)
-        out = expert_forward(Tensor(np.zeros((1, 4))), (Tensor(bank.w1.data[0]), Tensor(bank.w2.data[0])))
+        out = expert_forward(Tensor(np.zeros((1, 4))), (Tensor(bank[0].data[0]), Tensor(bank[1].data[0])))
         assert np.all(out.data == 0.0)
 
     def test_identity_pipeline(self):
@@ -122,13 +120,13 @@ class TestExpertForward:
 class TestMoeForward:
     def test_forced_gate_identity_expert(self):
         x = Tensor([[0.5, 2.0]])
-        bank = ExpertBank(Tensor(np.eye(2)[None]), Tensor(np.eye(2)[None]))
+        bank = (Tensor(np.eye(2)[None]), Tensor(np.eye(2)[None]))
         dec = decision_from_probs([[1.0]], [[0]])
         out = moe_forward(x, bank, dec)
         assert np.allclose(out.data, [[0.5, 2.0]])
 
     def test_all_zero_experts(self):
-        bank = ExpertBank(
+        bank = (
             Tensor(np.stack([Rng(0).gaussian(4, 8) for _ in range(2)])),
             Tensor(np.stack([np.zeros((8, 4)) for _ in range(2)])),
         )
@@ -147,7 +145,7 @@ class TestMoeForward:
         dense = np.zeros((t, h))
         masked = dec.router_probs.data * dec.binary_mask
         for e in range(n):
-            ye = np.maximum(x.data @ bank.w1.data[e], 0.0) @ bank.w2.data[e]
+            ye = np.maximum(x.data @ bank[0].data[e], 0.0) @ bank[1].data[e]
             dense += masked[:, e : e + 1] * ye
         assert np.max(np.abs(out.data - dense)) < 1e-12
 
@@ -156,14 +154,14 @@ class TestMoeForward:
         # gradient stay finite, its gradient rows are exactly zero, and the
         # stacks' grad_rows leave it out: Adam must not move its moments
         bank = make_bank(4, 6, 2)
-        bank.w1.data[1] = np.nan
+        bank[0].data[1] = np.nan
         dec = decision_from_probs(np.full((3, 2), 0.5), [[0], [0], [0]])
         x = Tensor(Rng(4).gaussian(3, 4), requires_grad=True)
         out = moe_forward(x, bank, dec)
         T.tsum(out * out).backward()
         assert np.all(np.isfinite(out.data))
         assert np.all(np.isfinite(x.grad))
-        for w in (bank.w1, bank.w2):
+        for w in bank:
             assert np.all(np.isfinite(w.grad)) and np.any(w.grad[0] != 0)
             assert np.all(w.grad[1] == 0.0)
             assert w.grad_rows.tolist() == [0]
@@ -179,7 +177,7 @@ class TestMoeForward:
         assert cfg.w_gate.grad is not None and np.any(cfg.w_gate.grad != 0)
         selected_experts = set(dec.selected[:, 0].tolist())
         for e in selected_experts:
-            assert np.any(bank.w1.grad[e] != 0)
+            assert np.any(bank[0].grad[e] != 0)
 
 
 def per_expert_moe(x, w1s, w2s, decision):
@@ -198,8 +196,8 @@ def per_expert_moe(x, w1s, w2s, decision):
         token_ids, k_cols = np.nonzero(decision.selected == e)
         if token_ids.size == 0:
             continue
-        ys = expert_forward(T.gather_rows(x, token_ids), (w1s[e], w2s[e]))
-        gv = T.gather_rows(flat_gates, token_ids * k + k_cols)
+        ys = expert_forward(T.index(x, token_ids), (w1s[e], w2s[e]))
+        gv = T.index(flat_gates, token_ids * k + k_cols)
         place = np.zeros((n_tokens, token_ids.size))
         place[token_ids, np.arange(token_ids.size)] = 1.0
         term = Tensor(place) @ (ys * gv)
@@ -232,12 +230,12 @@ class TestGroupedDispatch:
         gates = Tensor(rng.uniform(n_tokens, k), requires_grad=True)
         dec = GateDecision(Tensor(np.full((n_tokens, n), 1.0 / n)), selected, gates, mask)
         weights = Tensor(rng.gaussian(n_tokens, h))
-        w1s = [Tensor(w, requires_grad=True) for w in bank.w1.data]
-        w2s = [Tensor(w, requires_grad=True) for w in bank.w2.data]
+        w1s = [Tensor(w, requires_grad=True) for w in bank[0].data]
+        w2s = [Tensor(w, requires_grad=True) for w in bank[1].data]
 
         out = moe_forward(x, bank, dec)
         T.tsum(out * weights).backward()
-        got = [out.data, x.grad, gates.grad, *bank.w1.grad, *bank.w2.grad]
+        got = [out.data, x.grad, gates.grad, *bank[0].grad, *bank[1].grad]
         x.grad = gates.grad = None
         ref = per_expert_moe(x, w1s, w2s, dec)
         T.tsum(ref * weights).backward()
@@ -250,7 +248,7 @@ class TestGroupedDispatch:
             assert g.shape == w.shape, i
             assert np.max(np.abs(g - w)) / max(np.max(np.abs(w)), 1.0) < 1e-12, i
         used = np.unique(selected).tolist()
-        for w in (bank.w1, bank.w2):
+        for w in bank:
             assert w.grad_rows.tolist() == used
         assert sum(w.grad is None for w in w1s) == n - len(used)
 
@@ -261,9 +259,9 @@ class TestGroupedDispatch:
         x = Tensor(Rng(0).gaussian(2, 3))
         outs = [moe_forward(x, bank, decision_from_probs(np.full((2, 4), 0.25), sel)) for sel in ([[0], [0]], [[2], [0]])]
         T.tsum(outs[0] + outs[1]).backward()
-        assert bank.w1.grad_rows.tolist() == [0, 2] and bank.w2.grad_rows.tolist() == [0, 2]
-        T.tsum(bank.w1).backward()
-        assert bank.w1.grad_rows is None and bank.w2.grad_rows.tolist() == [0, 2]
+        assert bank[0].grad_rows.tolist() == [0, 2] and bank[1].grad_rows.tolist() == [0, 2]
+        T.tsum(bank[0]).backward()
+        assert bank[0].grad_rows is None and bank[1].grad_rows.tolist() == [0, 2]
 
     @pytest.mark.parametrize("used", [1, 2, 5, 6])
     def test_one_graph_node_per_call(self, used):
@@ -275,7 +273,7 @@ class TestGroupedDispatch:
         with Tape() as tape:
             moe_forward(x, bank, dec)
         assert len(tape.records) == 1
-        assert tape.records[0]._parents == (x, dec.gate_values, bank.w1, bank.w2)
+        assert tape.records[0]._parents == (x, dec.gate_values, bank[0], bank[1])
 
 
 class TestLoadBalanceLoss:
@@ -333,7 +331,7 @@ class TestMoeShare:
     def test_zero_shared_reduces_to_moe(self):
         h, n = 4, 3
         bank = make_bank(h, 6, n)
-        shared = SharedMlp(Tensor(Rng(9).gaussian(h, 6)), Tensor(np.zeros((6, h))))
+        shared = (Tensor(Rng(9).gaussian(h, 6)), Tensor(np.zeros((6, h))))
         x = Tensor(Rng(10).gaussian(5, h))
         dec = noisy_topk_gate(x, make_gate(h, n))
         assert np.array_equal(
@@ -342,8 +340,8 @@ class TestMoeShare:
 
     def test_zero_bank_identity_shared(self):
         h = 2
-        bank = ExpertBank(Tensor(np.zeros((1, h, h))), Tensor(np.zeros((1, h, h))))
-        shared = SharedMlp(Tensor(np.eye(h)), Tensor(np.eye(h)))
+        bank = (Tensor(np.zeros((1, h, h))), Tensor(np.zeros((1, h, h))))
+        shared = (Tensor(np.eye(h)), Tensor(np.eye(h)))
         x = Tensor([[3.0, 4.0]])
         dec = decision_from_probs([[1.0]], [[0]])
         assert np.allclose(moe_share_forward(x, bank, shared, dec).data, [[3.0, 4.0]])
@@ -352,10 +350,10 @@ class TestMoeShare:
         h, n = 4, 3
         bank = make_bank(h, 6, n)
         rng = Rng(11)
-        shared = SharedMlp(Tensor(rng.gaussian(h, 6)), Tensor(rng.gaussian(6, h)))
+        shared = (Tensor(rng.gaussian(h, 6)), Tensor(rng.gaussian(6, h)))
         x = Tensor(Rng(12).gaussian(5, h))
         dec = noisy_topk_gate(x, make_gate(h, n))
-        expected = moe_forward(x, bank, dec).data + expert_forward(x, (shared.w1, shared.w2)).data
+        expected = moe_forward(x, bank, dec).data + expert_forward(x, shared).data
         assert np.max(np.abs(moe_share_forward(x, bank, shared, dec).data - expected)) < 1e-15
 
 

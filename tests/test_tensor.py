@@ -335,29 +335,52 @@ class TestFiniteDiff:
             finite_diff_grad(lambda t: 0.0, Tensor([1.0]), step=0.0)
 
 
+def _check_index_against_numpy(key, dense_first):
+    # the forward is numpy's indexing, in memory of its own; the scatter equals
+    # np.add.at bit for bit, repeated indices included, whether it gives x its
+    # first gradient or adds to one a dense consumer gave
+    rng = Rng(5)
+    x = Tensor(rng.gaussian(6, 4), requires_grad=True)
+    out = T.index(x, key)
+    assert np.array_equal(out.data, x.data[key])
+    assert not np.shares_memory(out.data, x.data)
+    weights = rng.gaussian(*out.shape)
+    gathered = T.tsum(out * Tensor(weights))
+    dense = T.tsum(x * Tensor(np.full((6, 4), 0.5)))
+    (dense + gathered if dense_first else gathered + dense).backward()
+    scattered = np.zeros((6, 4))
+    np.add.at(scattered, key, weights)
+    assert np.array_equal(x.grad, scattered + 0.5)
+
+
 class TestGatherScatter:
     def test_gather_rows_backward(self):
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        T.tsum(T.gather_rows(table, np.array([0, 0, 2]))).backward()
+        T.tsum(T.index(table, np.array([0, 0, 2]))).backward()
         assert table.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
 
     @pytest.mark.parametrize(
-        "ids", [np.array([0, 2, 3, 5]), np.array([4, 1, 1, 3, 4, 4]), np.array([[0, 1], [1, 0]])],
+        "ids",
+        [np.array([0, 2, 3, 5]), np.array([4, 1, 1, 3, 4, 4]), np.array([[0, 1], [1, 0], [5, 5]])],
         ids=["strictly_increasing", "repeated", "2d_repeated"],
     )
     @pytest.mark.parametrize("dense_first", [True, False])
     def test_gather_rows_backward_matches_add_at(self, ids, dense_first):
-        # the scatter must equal np.add.at, repeated ids included, whether it
-        # gives the table its first gradient or adds to an existing one
-        rng = Rng(5)
-        table = Tensor(rng.gaussian(6, 3), requires_grad=True)
-        weights = rng.gaussian(*ids.shape, 3)
-        gathered = T.tsum(T.gather_rows(table, ids) * Tensor(weights))
-        dense = T.tsum(table * Tensor(np.full((6, 3), 0.5)))
-        (dense + gathered if dense_first else gathered + dense).backward()
-        expected = np.full((6, 3), 0.5)
-        np.add.at(expected, ids.reshape(-1), weights.reshape(-1, 3))
-        assert np.allclose(table.grad, expected, rtol=1e-15, atol=1e-15)
+        # an integer-array key gathers whole rows of a table
+        _check_index_against_numpy(ids, dense_first)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (np.arange(6)[:, None], np.array([[2, 2], [0, 3], [1, 1], [3, 0], [0, 0], [2, 1]])),
+            (slice(1, None, 2), slice(None, 3)),
+        ],
+        ids=["row_col_pairs", "basic_slices"],
+    )
+    @pytest.mark.parametrize("dense_first", [True, False])
+    def test_index_matches_numpy_and_add_at(self, key, dense_first):
+        # a tuple key: columns chosen per row, or basic slices (a view, copied)
+        _check_index_against_numpy(key, dense_first)
 
     @pytest.mark.parametrize("dense_first", [True, False])
     def test_accumulate_at_with_dense_consumer(self, dense_first):
@@ -368,7 +391,7 @@ class TestGatherScatter:
 
         def f(table):
             dense = T.tsum(table * table)
-            gathered = T.tsum(T.gather_rows(table, ids) * Tensor(weights))
+            gathered = T.tsum(T.index(table, ids) * Tensor(weights))
             return dense + gathered if dense_first else gathered + dense
 
         table = Tensor(Rng(2).gaussian(3, 2), requires_grad=True)
@@ -377,7 +400,7 @@ class TestGatherScatter:
 
     def test_take_per_row(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        out = T.take_per_row(x, np.array([[2], [0]]))
+        out = T.index(x, (np.arange(2)[:, None], np.array([[2], [0]])))
         assert out.data.tolist() == [[2.0], [3.0]]
 
 
