@@ -206,11 +206,11 @@ def embedding_distance_matrices(model: Model, layer: int) -> tuple[np.ndarray, n
     n = model.cfg.n_experts
     # selection i: aggregate over all experts except i
     mask = Tensor(1.0 - np.eye(n))
+    layers, mlp, proj, _ = model.hyper
     with T.no_grad():
-        hyper = model._layer_hyper(layer)
-        p = selection_embedding(mask, hyper.tables, hyper.mlp)
-        k = combine_embeddings(p, layer, hyper.tables, hyper.projector)
-    return _pairwise_distances(hyper.tables.expert.data), _pairwise_distances(k.data)
+        experts = model.expert_table(layer)
+        k = combine_embeddings(selection_embedding(mask, experts, mlp), layer, layers, proj)
+    return _pairwise_distances(experts.data), _pairwise_distances(k.data)
 
 
 def _write_matrix(path: str, matrix: np.ndarray) -> None:
@@ -295,11 +295,16 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
+def _path(text: str) -> str:
+    """A path, not empty; whether it can be read or written is checked where it is used."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a path, got ''")
+    return text
+
+
 def _out_dir(text: str) -> str:
     """An output directory path, not empty: neither it nor any existing parent may be a file."""
-    if not text:
-        raise argparse.ArgumentTypeError("must name a directory, got ''")
-    path = os.path.abspath(text)
+    path = os.path.abspath(_path(text))
     while not os.path.exists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
@@ -323,18 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model and write metrics + checkpoint")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", type=_path, required=True)
     p.add_argument("--out", type=_out_dir, default="out")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", type=_path, required=True)
     p.add_argument("--n", type=_positive_int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="measure samples/second")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", type=_path, required=True)
     p.add_argument("--phase", choices=["train", "eval"], default="train")
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--warmup", type=int, default=5)
@@ -343,18 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", type=_path, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("analyze-embeddings", help="expert/selection embedding distance matrices")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", type=_path, required=True)
     p.add_argument("--layer", type=_non_negative_int, default=0)
     p.add_argument("--out", type=_out_dir, default="out")
     p.set_defaults(func=cmd_analyze_embeddings)
 
     p = sub.add_parser("compare", help="train a (method x seed) grid and summarize")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", type=_path, required=True)
     p.add_argument("--methods", type=_layer_kinds, default="moe,moe_share,hypermoe")
     p.add_argument("--seeds", type=_non_negative_int_list, default="0,1,2")
     p.add_argument("--out", type=_out_dir, default=None)

@@ -5,16 +5,19 @@ to find the unselected experts, average their embeddings through a small MLP
 into a selection embedding, fuse it with the layer embedding into a code k,
 and feed k to the generator, one (W_down, W_up) tuple shared by every layer,
 for a (down, up) bottleneck expert that runs in parallel with the routed
-experts, whose bank is a (W1, W2) tuple of stacks (see ``moe``). A layer has
-at most C(N, K) distinct masks, so the embeddings and codes are computed once
-per distinct mask, and ``tensor.generated_expert`` builds each mask's D and U
-once and runs the tokens grouped by mask in one graph node. The per-token
-reference, which builds every token's D and U, lives in ``tests/test_hyper.py``.
+experts, whose bank is a (W1, W2) tuple of stacks (see ``moe``). Every
+parameter is a plain tensor or tuple: the (N, t') expert table, the (L, t')
+layer table, the MLP (w1, b1, w2, b2), the projector (w, b) and the
+generator. A model shares one (layer table, MLP, projector, generator)
+tuple across its layers, and each layer passes its own expert table. A
+layer has at most C(N, K) distinct masks, so the embeddings and codes are
+computed once per distinct mask, and ``tensor.generated_expert`` builds each
+mask's D and U once and runs the tokens grouped by mask in one graph node.
+The per-token reference, which builds every token's D and U, lives in
+``tests/test_hyper.py``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,61 +26,21 @@ from .moe import GateDecision, moe_forward
 from .tensor import Tensor
 
 
-@dataclass
-class EmbeddingTables:
-    expert: Tensor  # (N, t') one learned row per expert
-    layer: Tensor   # (L, t') one learned row per transformer layer
-
-
-@dataclass
-class SelectionMlp:
-    """Two affine layers with a ReLU between, t' -> t."""
-
-    w1: Tensor  # (t', hidden)
-    b1: Tensor  # (hidden,)
-    w2: Tensor  # (hidden, t)
-    b2: Tensor  # (t,)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.relu(x @ self.w1 + self.b1) @ self.w2 + self.b2
-
-
-@dataclass
-class Projector:
-    """Single affine layer (t + t') -> t_k fusing selection and layer embeddings."""
-
-    w: Tensor  # (t + t', t_k)
-    b: Tensor  # (t_k,)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.w + self.b
-
-
-@dataclass
-class HyperComponents:
-    """Everything the HyperExpert pipeline needs, bundled for one model."""
-
-    tables: EmbeddingTables
-    mlp: SelectionMlp
-    projector: Projector
-    generator: tuple[Tensor, Tensor]  # shared by every layer: W_down (h*b, t_k), W_up (b*h, t_k)
-    condition_on: str = "unselected"
-
-
-def selection_embedding(mask_hat: Tensor, tables: EmbeddingTables, mlp: SelectionMlp) -> Tensor:
-    """Mean of the masked expert embeddings per token, pushed through the MLP."""
+def selection_embedding(mask_hat: Tensor, experts: Tensor, mlp: tuple) -> Tensor:
+    """Mean of the masked rows of the (N, t') expert table per token, pushed through the
+    MLP ``(w1 (t', t), b1, w2 (t, t), b2)``: relu(a w1 + b1) w2 + b2."""
+    w1, b1, w2, b2 = mlp
     counts = mask_hat.data.sum(axis=1, keepdims=True)
-    weights = Tensor(mask_hat.data / counts)
-    aggregate = weights @ tables.expert
-    return mlp(aggregate)
+    aggregate = Tensor(mask_hat.data / counts) @ experts
+    return T.relu(aggregate @ w1 + b1) @ w2 + b2
 
 
-def combine_embeddings(
-    p: Tensor, layer_index: int, tables: EmbeddingTables, proj: Projector
-) -> Tensor:
-    """Concat the selection embedding with the layer embedding and project."""
-    l_rows = T.index(tables.layer, np.full(p.shape[0], layer_index))
-    return proj(T.concat([p, l_rows], axis=-1))
+def combine_embeddings(p: Tensor, layer_index: int, layers: Tensor, proj: tuple) -> Tensor:
+    """Concat the selection embedding with row ``layer_index`` of the (L, t') layer table and
+    project through ``(w (t + t', t_k), b)``."""
+    w, b = proj
+    l_rows = T.index(layers, np.full(p.shape[0], layer_index))
+    return T.concat([p, l_rows], axis=-1) @ w + b
 
 
 def _group_by_mask(selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,13 +66,15 @@ def conditioning_mask(decision: GateDecision, condition_on: str) -> Tensor:
 
 
 def hypermoe_forward(
-    x: Tensor, bank: tuple, decision: GateDecision, hyper: HyperComponents, layer_index: int
+    x: Tensor, bank: tuple, decision: GateDecision, experts: Tensor, shared: tuple, layer_index: int, condition_on: str
 ) -> Tensor:
-    """Routed MoE output plus each token's generated HyperExpert, unscaled."""
+    """Routed MoE output plus each token's generated HyperExpert, unscaled. ``experts`` is the
+    layer's (N, t') expert table; ``shared`` is the model's (layer table, selection MLP,
+    projector, generator)."""
+    layers, mlp, proj, generator = shared
     base = moe_forward(x, bank, decision)
     groups, first = _group_by_mask(decision.selected)
-    mask = conditioning_mask(decision, hyper.condition_on)
-    p = selection_embedding(Tensor(mask.data[first]), hyper.tables, hyper.mlp)
-    codes = combine_embeddings(p, layer_index, hyper.tables, hyper.projector)
-    return base + T.generated_expert(x, codes, groups, *hyper.generator)
-
+    mask = conditioning_mask(decision, condition_on)
+    p = selection_embedding(Tensor(mask.data[first]), experts, mlp)
+    codes = combine_embeddings(p, layer_index, layers, proj)
+    return base + T.generated_expert(x, codes, groups, *generator)

@@ -2,13 +2,17 @@
 
 Parameters are initialized from per-name seeded streams, so models of
 different layer kinds built from the same seed share identical values for
-their common parameters. One hypernetwork instance serves all layers.
+their common parameters. One hypernetwork, the plain tuple ``Model.hyper``,
+serves all layers; ``Model.expert_table`` gives the expert embeddings each
+layer runs with. A forward returns the outputs and each MoE layer's routing
+decision; ``training.combined_loss`` builds the load-balance loss from the
+decisions, so an evaluation builds none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,18 +20,11 @@ from . import tensor as T
 from .config import ModelConfig
 from .conv import ConvPipeline, compress_expert_weights, default_pipeline_spec
 from .errors import ConfigurationError
-from .hyper import (
-    EmbeddingTables,
-    HyperComponents,
-    Projector,
-    SelectionMlp,
-    hypermoe_forward,
-)
+from .hyper import hypermoe_forward
 from .moe import (
     GateConfig,
     GateDecision,
     expert_forward,
-    load_balance_loss,
     moe_forward,
     moe_share_forward,
     noisy_topk_gate,
@@ -56,7 +53,6 @@ def sinusoidal_positions(seq_len: int, h: int) -> np.ndarray:
 @dataclass
 class ForwardResult:
     outputs: Tensor                    # (B, C) logits or (B, 1) regression output
-    aux_losses: list[Tensor]           # per MoE layer
     decisions: list[GateDecision]      # per MoE layer
 
 
@@ -166,28 +162,27 @@ class Model:
         return blk
 
     def _build_hyper(self) -> None:
+        """The learned expert table ``hyper.experts``, then the tuple every layer shares:
+        (layer table, selection MLP (w1, b1, w2, b2), projector (w, b), generator (w_down, w_up))."""
         cfg = self.cfg
         gen_std = 0.02 / cfg.t_k**0.25   # variance 0.02^2 / sqrt(t_k): near-zero experts at step 0
-        self.hyper = HyperComponents(
-            tables=EmbeddingTables(
-                self._param("hyper.experts", (cfg.n_experts, cfg.t_prime), 0.02),
-                self._param("hyper.layers", (cfg.n_layers, cfg.t_prime), 0.02),
-            ),
-            mlp=SelectionMlp(
+        self._param("hyper.experts", (cfg.n_experts, cfg.t_prime), 0.02)
+        self.hyper = (
+            self._param("hyper.layers", (cfg.n_layers, cfg.t_prime), 0.02),
+            (
                 self._param("hyper.mlp.w1", (cfg.t_prime, cfg.t), 1.0 / np.sqrt(cfg.t_prime)),
                 self._param("hyper.mlp.b1", (cfg.t,), 0.0),
                 self._param("hyper.mlp.w2", (cfg.t, cfg.t), 1.0 / np.sqrt(cfg.t)),
                 self._param("hyper.mlp.b2", (cfg.t,), 0.0),
             ),
-            projector=Projector(
+            (
                 self._param("hyper.proj.w", (cfg.t + cfg.t_prime, cfg.t_k), 1.0 / np.sqrt(cfg.t + cfg.t_prime)),
                 self._param("hyper.proj.b", (cfg.t_k,), 0.0),
             ),
-            generator=(
+            (
                 self._param("hyper.w_down", (cfg.h * cfg.b, cfg.t_k), gen_std),
                 self._param("hyper.w_up", (cfg.b * cfg.h, cfg.t_k), gen_std),
             ),
-            condition_on=cfg.condition_on,
         )
 
     # -- forward ------------------------------------------------------------
@@ -215,7 +210,6 @@ class Model:
         x_tokens: Tensor,
         training: bool,
         noise_rng: Rng | None,
-        aux: list[Tensor],
         decisions: list[GateDecision],
     ) -> Tensor:
         cfg = self.cfg
@@ -224,40 +218,35 @@ class Model:
             return expert_forward(x_tokens, blk["ffn"])
         decision = noisy_topk_gate(x_tokens, blk["gate"], rng=noise_rng, training=training)
         decisions.append(decision)
-        aux.append(load_balance_loss(decision))
         if cfg.layer_kind == "moe":
             return moe_forward(x_tokens, blk["bank"], decision)
         if cfg.layer_kind == "moe_share":
             return moe_share_forward(x_tokens, blk["bank"], blk["shared"], decision)
-        return hypermoe_forward(x_tokens, blk["bank"], decision, self._layer_hyper(layer_index), layer_index)
+        return hypermoe_forward(
+            x_tokens, blk["bank"], decision, self.expert_table(layer_index), self.hyper, layer_index, cfg.condition_on
+        )
 
-    def _layer_hyper(self, layer_index: int) -> HyperComponents:
-        """The HyperExpert components layer ``layer_index`` runs with: compressed
-        embeddings stand in for the learned expert table."""
-        if self.cfg.embedding_source != "compressed":
-            return self.hyper
-        tables = replace(self.hyper.tables, expert=self._compressed_embeddings(layer_index))
-        return replace(self.hyper, tables=tables)
-
-    def _compressed_embeddings(self, layer_index: int) -> Tensor:
-        """Per-layer expert embeddings from compressed expert weights, gradient-free."""
+    def expert_table(self, layer_index: int) -> Tensor:
+        """The (N, t') expert embeddings layer ``layer_index`` runs with: the learned table, or
+        with compressed embeddings the layer's expert weights compressed, gradient-free."""
+        if self.conv_pipeline is None:
+            return self.params["hyper.experts"]
         return compress_expert_weights(self.blocks[layer_index]["bank"], self.conv_pipeline)
 
     def forward(self, inputs, training: bool = False, noise_rng: Rng | None = None) -> ForwardResult:
         cfg = self.cfg
         x = self._embed_inputs(inputs)
         batch, seq = x.shape[0], x.shape[1]
-        aux: list[Tensor] = []
         decisions: list[GateDecision] = []
         for i, blk in enumerate(self.blocks):
             x = x + self._attention(blk, T.layer_norm(x, *blk["ln1"]))
             xn = T.layer_norm(x, *blk["ln2"])
             tokens = T.reshape(xn, (batch * seq, cfg.h))
-            slot = self._ffn_slot(i, tokens, training, noise_rng, aux, decisions)
+            slot = self._ffn_slot(i, tokens, training, noise_rng, decisions)
             x = x + T.reshape(slot, (batch, seq, cfg.h))
         x = T.layer_norm(x, *self.ln_f)
         last = T.index(x, (slice(None), seq - 1))
-        return ForwardResult(last @ self.head_w + self.head_b, aux, decisions)
+        return ForwardResult(last @ self.head_w + self.head_b, decisions)
 
     # -- bookkeeping ---------------------------------------------------------
 

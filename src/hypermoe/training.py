@@ -11,6 +11,7 @@ from . import tensor as T
 from .config import ModelConfig
 from .errors import DivergenceError
 from .model import EVAL_CHUNK, ForwardResult, Model
+from .moe import load_balance_loss
 from .tasks import SyntheticTask, generate_task_batch
 from .tensor import Rng, Tape, Tensor
 
@@ -98,18 +99,15 @@ def utilization_entropy(hist: np.ndarray) -> float:
 
 
 def combined_loss(result: ForwardResult, targets, task: SyntheticTask, cfg: ModelConfig) -> tuple[Tensor, float, float]:
-    """Total loss plus (task, aux) scalars for logging."""
+    """Total loss plus (task, aux) scalars for logging; the aux loss is the mean of each
+    MoE layer's load-balance loss, built here from ``result.decisions``."""
     base = task_loss(result, targets, task.kind)
-    if result.aux_losses and cfg.aux_loss_coef > 0:
-        aux = result.aux_losses[0]
-        for a in result.aux_losses[1:]:
-            aux = aux + a
-        aux = aux * (1.0 / len(result.aux_losses))
+    balance = [load_balance_loss(d) for d in result.decisions]
+    if balance and cfg.aux_loss_coef > 0:
+        aux = sum(balance[1:], balance[0]) * (1.0 / len(balance))
         total = base + aux * cfg.aux_loss_coef
         return total, base.item(), aux.item()
-    mean_aux = (
-        float(np.mean([a.item() for a in result.aux_losses])) if result.aux_losses else 0.0
-    )
+    mean_aux = float(np.mean([a.item() for a in balance])) if balance else 0.0
     return base, base.item(), mean_aux
 
 

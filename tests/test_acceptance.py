@@ -12,14 +12,7 @@ from hypermoe.checkpoint import load_checkpoint, save_checkpoint
 from hypermoe.cli import gradcheck_model, main, run_compare
 from hypermoe.config import ModelConfig
 from hypermoe.conv import ConvPipelineSpec, Stage, shape_chain
-from hypermoe.hyper import (
-    EmbeddingTables,
-    HyperComponents,
-    Projector,
-    SelectionMlp,
-    conditioning_mask,
-    hypermoe_forward,
-)
+from hypermoe.hyper import conditioning_mask, hypermoe_forward
 from hypermoe.model import build_model
 from hypermoe.moe import GateConfig, GateDecision, load_balance_loss, moe_forward, noisy_topk_gate
 from hypermoe.tensor import Rng, Tensor
@@ -49,14 +42,15 @@ def random_layer(rng: Rng, zero_generator: bool):
         Tensor(np.stack([rng.gaussian(d_ff, h) for _ in range(n)])),
     )
     gen = (lambda *s: np.zeros(s)) if zero_generator else (lambda *s: rng.gaussian(*s))
-    hyper = HyperComponents(
-        EmbeddingTables(Tensor(rng.gaussian(n, tp)), Tensor(rng.gaussian(3, tp))),
-        SelectionMlp(
-            Tensor(rng.gaussian(tp, t)), Tensor(rng.gaussian(t)),
-            Tensor(rng.gaussian(t, t)), Tensor(rng.gaussian(t)),
+    # (expert table, (layer table, selection MLP, projector, generator))
+    hyper = (
+        Tensor(rng.gaussian(n, tp)),
+        (
+            Tensor(rng.gaussian(3, tp)),
+            (Tensor(rng.gaussian(tp, t)), Tensor(rng.gaussian(t)), Tensor(rng.gaussian(t, t)), Tensor(rng.gaussian(t))),
+            (Tensor(rng.gaussian(t + tp, tk)), Tensor(rng.gaussian(tk))),
+            (Tensor(gen(h * b, tk)), Tensor(gen(b * h, tk))),
         ),
-        Projector(Tensor(rng.gaussian(t + tp, tk)), Tensor(rng.gaussian(tk))),
-        (Tensor(gen(h * b, tk)), Tensor(gen(b * h, tk))),
     )
     x = Tensor(rng.gaussian(n_tok, h))
     return x, gate, bank, hyper
@@ -70,7 +64,7 @@ def test_criterion_1_zero_generator_equivalence():
     for _ in range(100):
         x, gate, bank, hyper = random_layer(rng, zero_generator=True)
         dec = noisy_topk_gate(x, gate)
-        a = hypermoe_forward(x, bank, dec, hyper, 0).data
+        a = hypermoe_forward(x, bank, dec, *hyper, 0, "unselected").data
         b = moe_forward(x, bank, dec).data
         exact += int(np.array_equal(a, b))
     elapsed = time.perf_counter() - start
@@ -254,7 +248,7 @@ def test_criterion_7_compression_shape_chain():
         moduli=[3, 4], train_size=64, eval_size=32,
     )
     model = build_model(cfg)
-    emb = model._compressed_embeddings(0)
+    emb = model.expert_table(0)
     elapsed = time.perf_counter() - start
     ok = chain == expected and emb.shape == (cfg.n_experts, cfg.t_prime) and elapsed < 5
     report(

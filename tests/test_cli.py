@@ -19,7 +19,6 @@ from hypermoe.cli import (
 )
 from hypermoe.config import ModelConfig
 from hypermoe.errors import ConfigurationError
-from hypermoe.hyper import EmbeddingTables, HyperComponents
 from hypermoe.model import EVAL_CHUNK, MAX_ACTIVATION, build_model
 from hypermoe.tasks import MAX_INSTANCES
 from hypermoe.tensor import Tensor
@@ -281,13 +280,11 @@ class TestAnalyzeEmbeddings:
             **{**TINY, "n_experts": 2, "layer_kind": "hypermoe", "moduli": [3, 4], "top_k": 1}
         )
         model = build_model(cfg)
-        hyper = model.hyper
-        from hypermoe.hyper import combine_embeddings, selection_embedding
+        _, mlp, _, _ = model.hyper
+        from hypermoe.hyper import selection_embedding
         mask = Tensor(1.0 - np.eye(2))
-        p = selection_embedding(mask, hyper.tables, hyper.mlp)
-        single = selection_embedding(
-            Tensor(np.array([[0.0, 1.0]])), hyper.tables, hyper.mlp
-        )
+        p = selection_embedding(mask, model.expert_table(0), mlp)
+        single = selection_embedding(Tensor(np.array([[0.0, 1.0]])), model.expert_table(0), mlp)
         assert np.allclose(p.data[0], single.data[0])
         _, sel_d = embedding_distance_matrices(model, 0)
         assert sel_d.shape == (2, 2)
@@ -300,7 +297,7 @@ class TestAnalyzeEmbeddings:
         train_model(model)
         experts_d = []
         for layer in range(cfg.n_layers):
-            rows = model._compressed_embeddings(layer).data
+            rows = model.expert_table(layer).data
             want = np.sqrt(((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=-1))
             experts_d.append(embedding_distance_matrices(model, layer)[0])
             assert np.array_equal(experts_d[-1], want)
@@ -381,19 +378,31 @@ def test_out_naming_a_file_exit_2_before_work(command, out, config_path, tmp_pat
     assert "--out" in err and str(tmp_path / "file") in err
 
 
-@pytest.mark.parametrize("command", ["train", "analyze-embeddings", "compare"])
-def test_empty_out_exit_2_before_work(command, config_path, tmp_path, capsys, monkeypatch):
-    # an empty --out once failed in makedirs (exit 3), or made compare skip its csv
+EMPTY_PATHS = [
+    ("train", "--out"), ("analyze-embeddings", "--out"), ("compare", "--out"),
+    ("train", "--config"), ("bench", "--config"), ("gradcheck", "--config"), ("compare", "--config"),
+    ("eval", "--checkpoint"), ("analyze-embeddings", "--checkpoint"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", EMPTY_PATHS, ids=[c if f == "--out" else c + f for c, f in EMPTY_PATHS]
+)
+def test_empty_out_exit_2_before_work(command, flag, config_path, tmp_path, capsys, monkeypatch):
+    # an empty --out once failed in makedirs (exit 3), or made compare skip its csv; an
+    # empty --config or --checkpoint once failed on open, with a message naming no flag
     import hypermoe.cli as cli
 
     calls = []
     monkeypatch.setattr(cli, "build_model", lambda cfg: calls.append(cfg) or build_model(cfg))
     monkeypatch.setattr(cli, "load_checkpoint", lambda path: calls.append(path) or load_checkpoint(path))
-    source = ["--checkpoint", str(tmp_path / "ck.bin")] if command == "analyze-embeddings" else ["--config", config_path]
-    assert main([command, *source, "--out", ""]) == EXIT_CONFIG
+    source = "--checkpoint" if command in ("eval", "analyze-embeddings") else "--config"
+    args = {source: str(tmp_path / "ck.bin") if source == "--checkpoint" else config_path}
+    args[flag] = ""
+    assert main([command, *(part for pair in args.items() for part in pair)]) == EXIT_CONFIG
     assert calls == []
     err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and "--out" in err
+    assert len(err.splitlines()) == 1 and flag in err
 
 
 def test_compare_summary_fields_are_plain_floats(config_path, capsys):

@@ -7,10 +7,10 @@ shape, offset or embedded config is mutated, its sha256 recomputed, and (c) a
 valid command line of each subcommand with one flag's value replaced by a
 non-integer, a negative number, zero, a huge integer, an empty string, or a
 path that is a file, a directory or missing. Every example must end in one of
-the documented exit codes, with at most one line on stderr. A huge integer is
-drawn only where it is illegal (``steps`` and ``bench --steps`` take any
-count, and 2**31 steps are slow, not wrong), so every example runs in well
-under a second.
+the documented exit codes, with at most one line on stderr; an empty value
+must exit 2 naming its flag. A huge integer is drawn only where it is
+illegal (``steps`` and ``bench --steps`` take any count, and 2**31 steps are
+slow, not wrong), so every example runs in well under a second.
 """
 
 import contextlib
@@ -229,3 +229,6 @@ def test_command_line_with_one_wrong_flag_exits_cleanly(argv, cli_paths, workdir
         os.chdir(cwd)
         shutil.rmtree(workdir / "missing", ignore_errors=True)
     assert_clean_exit(code, err)
+    empty = [flag for flag, value in zip(argv[1::2], argv[2::2]) if value == ""]
+    if empty:
+        assert code == EXIT_CONFIG and empty[0] in err, err

@@ -27,6 +27,7 @@ from hypermoe.cli import EXIT_CONFIG, EXIT_INTEGRITY, main
 from hypermoe.config import EMBEDDING_SOURCES, FIELD_RULES, LAYER_KINDS, TASKS, ModelConfig
 from hypermoe.errors import ConfigurationError, IntegrityError
 from hypermoe.model import build_model
+from hypermoe.moe import load_balance_loss
 from hypermoe.tasks import GroupedModularAddition, build_task, generate_task_batch
 from hypermoe.tensor import Rng, Tensor
 from hypermoe.training import Adam, evaluate, make_optimizer, train_model, train_step, utilization_histogram
@@ -239,6 +240,18 @@ class TestTraining:
         for row in rows:
             assert abs(row["total_loss"] - (row["task_loss"] + 0.5 * row["aux_loss"])) < 1e-12
 
+    @pytest.mark.parametrize("coef", [0.0, 0.5])
+    def test_logged_aux_is_the_mean_load_balance_loss_of_the_decisions(self, coef):
+        cfg = tiny_cfg(layer_kind="hypermoe", aux_loss_coef=coef, n_layers=3)
+        model = build_model(cfg)
+        inputs, targets = generate_task_batch(model.task, Rng(0), 16)
+        result = model.forward(inputs, training=True, noise_rng=Rng(1))
+        total, task_l, aux_l = training.combined_loss(result, targets, model.task, cfg)
+        want = float(np.mean([load_balance_loss(d).item() for d in result.decisions]))
+        assert len(result.decisions) == 3
+        assert aux_l > 0 and abs(aux_l - want) <= 1e-12 * want
+        assert abs(total.item() - (task_l + coef * aux_l)) <= 1e-12 * total.item()
+
     def test_small_pool_overfits(self):
         cfg = tiny_cfg(
             layer_kind="dense", train_size=32, steps=220, batch_size=32, learning_rate=3e-3
@@ -358,6 +371,24 @@ class TestEvaluate:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert float(done.stdout) < 100
+
+    def test_builds_no_load_balance_loss(self, monkeypatch):
+        # only the training loss reads the aux loss; patch every namespace that binds it
+        calls = []
+
+        def counting(decision):
+            calls.append(decision)
+            return load_balance_loss(decision)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hypermoe") and getattr(module, "load_balance_loss", None) is load_balance_loss:
+                monkeypatch.setattr(module, "load_balance_loss", counting)
+        model = build_model(tiny_cfg(layer_kind="hypermoe"))
+        evaluate(model, 600)
+        assert calls == []
+        inputs, targets = generate_task_batch(model.task, Rng(0), 16)
+        train_step(model, make_optimizer(model), inputs, targets, Rng(1))
+        assert len(calls) == model.cfg.n_layers
 
     def test_forward_links_no_graph(self, monkeypatch):
         model = build_model(tiny_cfg(layer_kind="hypermoe"))

@@ -9,10 +9,6 @@ from hypermoe import tensor as T
 from hypermoe.config import ModelConfig
 from hypermoe.errors import DimensionError
 from hypermoe.hyper import (
-    EmbeddingTables,
-    HyperComponents,
-    Projector,
-    SelectionMlp,
     _group_by_mask,
     combine_embeddings,
     conditioning_mask,
@@ -58,35 +54,24 @@ def hyperexpert_forward(x: Tensor, gen: GeneratedExpert) -> Tensor:
 
 
 def identity_mlp(width):
-    return SelectionMlp(
-        Tensor(np.eye(width)), Tensor(np.zeros(width)), Tensor(np.eye(width)), Tensor(np.zeros(width))
-    )
+    return Tensor(np.eye(width)), Tensor(np.zeros(width)), Tensor(np.eye(width)), Tensor(np.zeros(width))
 
 
-def make_hyper(h, n, n_layers, t, tp, tk, b, seed=20, condition_on="unselected", zero_generator=False):
+def make_hyper(h, n, n_layers, t, tp, tk, b, seed=20, zero_generator=False):
+    """(expert table, (layer table, MLP, projector, generator)), as ``hypermoe_forward`` takes them."""
     rng = Rng(seed)
     gen = (lambda *s: np.zeros(s)) if zero_generator else (lambda *s: rng.gaussian(*s, std=0.3))
-    return HyperComponents(
-        tables=EmbeddingTables(
-            Tensor(rng.gaussian(n, tp), requires_grad=True),
-            Tensor(rng.gaussian(n_layers, tp), requires_grad=True),
-        ),
-        mlp=SelectionMlp(
-            Tensor(rng.gaussian(tp, t), requires_grad=True),
-            Tensor(np.zeros(t), requires_grad=True),
-            Tensor(rng.gaussian(t, t), requires_grad=True),
-            Tensor(np.zeros(t), requires_grad=True),
-        ),
-        projector=Projector(
-            Tensor(rng.gaussian(t + tp, tk), requires_grad=True),
-            Tensor(np.zeros(tk), requires_grad=True),
-        ),
-        generator=(
-            Tensor(gen(h * b, tk), requires_grad=True),
-            Tensor(gen(b * h, tk), requires_grad=True),
-        ),
-        condition_on=condition_on,
+    experts = Tensor(rng.gaussian(n, tp), requires_grad=True)
+    layers = Tensor(rng.gaussian(n_layers, tp), requires_grad=True)
+    mlp = (
+        Tensor(rng.gaussian(tp, t), requires_grad=True),
+        Tensor(np.zeros(t), requires_grad=True),
+        Tensor(rng.gaussian(t, t), requires_grad=True),
+        Tensor(np.zeros(t), requires_grad=True),
     )
+    proj = (Tensor(rng.gaussian(t + tp, tk), requires_grad=True), Tensor(np.zeros(tk), requires_grad=True))
+    generator = (Tensor(gen(h * b, tk), requires_grad=True), Tensor(gen(b * h, tk), requires_grad=True))
+    return experts, (layers, mlp, proj, generator)
 
 
 class TestUnselectedMask:
@@ -110,21 +95,18 @@ class TestUnselectedMask:
 
 class TestSelectionEmbedding:
     def test_single_unselected_expert(self):
-        tables = EmbeddingTables(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor(np.zeros((1, 2))))
         mask = Tensor([[0.0, 1.0]])  # expert 0 selected
-        out = selection_embedding(mask, tables, identity_mlp(2))
+        out = selection_embedding(mask, Tensor([[1.0, 2.0], [3.0, 4.0]]), identity_mlp(2))
         assert np.allclose(out.data, np.maximum([[3.0, 4.0]], 0.0))
 
     def test_uniform_average(self):
-        tables = EmbeddingTables(Tensor([[1.0, 0.0], [9.0, 9.0], [0.0, 1.0]]), Tensor(np.zeros((1, 2))))
         mask = Tensor([[1.0, 0.0, 1.0]])  # expert 1 selected
-        out = selection_embedding(mask, tables, identity_mlp(2))
+        out = selection_embedding(mask, Tensor([[1.0, 0.0], [9.0, 9.0], [0.0, 1.0]]), identity_mlp(2))
         assert np.allclose(out.data, [[0.5, 0.5]])
 
     def test_identity_mlp_is_relu_of_aggregate(self):
-        tables = EmbeddingTables(Tensor([[-1.0, 2.0], [3.0, -4.0]]), Tensor(np.zeros((1, 2))))
         mask = Tensor([[1.0, 1.0]])
-        out = selection_embedding(mask, tables, identity_mlp(2))
+        out = selection_embedding(mask, Tensor([[-1.0, 2.0], [3.0, -4.0]]), identity_mlp(2))
         assert np.allclose(out.data, np.maximum([[1.0, -1.0]], 0.0))
 
     def test_aggregation_weights_sum_to_one(self):
@@ -138,28 +120,25 @@ class TestSelectionEmbedding:
 
 class TestCombineEmbeddings:
     def test_zero_projector(self):
-        tables = EmbeddingTables(Tensor(np.zeros((2, 1))), Tensor([[3.0]]))
-        proj = Projector(Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
-        out = combine_embeddings(Tensor([[1.0, 2.0]]), 0, tables, proj)
+        proj = (Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+        out = combine_embeddings(Tensor([[1.0, 2.0]]), 0, Tensor([[3.0]]), proj)
         assert np.all(out.data == 0.0)
 
     def test_selector_projection(self):
         # identity on the first 2 coordinates of concat(p, l)
-        tables = EmbeddingTables(Tensor(np.zeros((2, 1))), Tensor([[3.0]]))
         w = np.zeros((3, 2))
         w[0, 0] = w[1, 1] = 1.0
-        proj = Projector(Tensor(w), Tensor(np.zeros(2)))
-        out = combine_embeddings(Tensor([[1.0, 2.0]]), 0, tables, proj)
+        out = combine_embeddings(Tensor([[1.0, 2.0]]), 0, Tensor([[3.0]]), (Tensor(w), Tensor(np.zeros(2))))
         assert out.data.tolist() == [[1.0, 2.0]]
 
     def test_matches_affine_oracle(self):
         rng = Rng(4)
-        tables = EmbeddingTables(Tensor(rng.gaussian(3, 2)), Tensor(rng.gaussian(2, 2)))
-        proj = Projector(Tensor(rng.gaussian(5, 4)), Tensor(rng.gaussian(4)))
+        layers = Tensor(rng.gaussian(2, 2))
+        w, b = Tensor(rng.gaussian(5, 4)), Tensor(rng.gaussian(4))
         p = Tensor(rng.gaussian(6, 3))
-        out = combine_embeddings(p, 1, tables, proj)
-        concat = np.concatenate([p.data, np.tile(tables.layer.data[1], (6, 1))], axis=1)
-        assert np.max(np.abs(out.data - (concat @ proj.w.data + proj.b.data))) < 1e-15
+        out = combine_embeddings(p, 1, layers, (w, b))
+        concat = np.concatenate([p.data, np.tile(layers.data[1], (6, 1))], axis=1)
+        assert np.max(np.abs(out.data - (concat @ w.data + b.data))) < 1e-15
 
 
 class TestGenerateHyperexpert:
@@ -263,7 +242,7 @@ class TestGeneratedExpert:
         # size of the per-token D (T, b) and U (T, b, h) stacks
         n_tokens, h, b, tk = 32, 8, 4, 3
         x, bank, gate, hyper = setup_layer(t_tokens=n_tokens, h=h, n=3, d_ff=16, tk=tk, b=b)
-        out = hypermoe_forward(x, bank, noisy_topk_gate(x, gate), hyper, 0)
+        out = hypermoe_forward(x, bank, noisy_topk_gate(x, gate), *hyper, 0, "unselected")
         seen, stack, largest = set(), [out], 0
         while stack:
             node = stack.pop()
@@ -289,14 +268,14 @@ class TestHypermoeForward:
         x, bank, gate, hyper = setup_layer(zero_generator=True)
         dec = noisy_topk_gate(x, gate)
         assert np.array_equal(
-            hypermoe_forward(x, bank, dec, hyper, 0).data, moe_forward(x, bank, dec).data
+            hypermoe_forward(x, bank, dec, *hyper, 0, "unselected").data, moe_forward(x, bank, dec).data
         )
 
     def test_identical_tokens_identical_hyperexpert(self):
         x, bank, gate, hyper = setup_layer()
         xx = Tensor(np.tile(x.data[:1], (3, 1)))
         dec = noisy_topk_gate(xx, gate)
-        out = hypermoe_forward(xx, bank, dec, hyper, 0)
+        out = hypermoe_forward(xx, bank, dec, *hyper, 0, "unselected")
         assert np.allclose(out.data[0], out.data[1])
         assert np.allclose(out.data[0], out.data[2])
 
@@ -304,13 +283,14 @@ class TestHypermoeForward:
         # compose the five sub-operations independently, token by token
         x, bank, gate, hyper = setup_layer(t_tokens=2, h=4, n=3, b=2)
         dec = noisy_topk_gate(x, gate)
-        out = hypermoe_forward(x, bank, dec, hyper, 1)
+        experts, (layers, mlp, proj, generator) = hyper
+        out = hypermoe_forward(x, bank, dec, *hyper, 1, "unselected")
         base = moe_forward(x, bank, dec)
         mask = conditioning_mask(dec, "unselected")
         for i in range(2):
-            p_i = selection_embedding(Tensor(mask.data[i : i + 1]), hyper.tables, hyper.mlp)
-            k_i = combine_embeddings(p_i, 1, hyper.tables, hyper.projector)
-            gen = generate_hyperexpert(k_i, hyper.generator, x.shape[1])
+            p_i = selection_embedding(Tensor(mask.data[i : i + 1]), experts, mlp)
+            k_i = combine_embeddings(p_i, 1, layers, proj)
+            gen = generate_hyperexpert(k_i, generator, x.shape[1])
             e_i = hyperexpert_forward(Tensor(x.data[i : i + 1]), gen)
             assert np.max(np.abs(out.data[i] - (base.data[i] + e_i.data[0]))) < 1e-12
 
@@ -318,49 +298,46 @@ class TestHypermoeForward:
         x, bank, gate, hyper = setup_layer(t_tokens=6)
         perm = np.array([3, 0, 5, 1, 4, 2])
         dec = noisy_topk_gate(x, gate)
-        out = hypermoe_forward(x, bank, dec, hyper, 0)
+        out = hypermoe_forward(x, bank, dec, *hyper, 0, "unselected")
         xp = Tensor(x.data[perm])
         decp = noisy_topk_gate(xp, gate)
-        outp = hypermoe_forward(xp, bank, decp, hyper, 0)
+        outp = hypermoe_forward(xp, bank, decp, *hyper, 0, "unselected")
         assert np.allclose(outp.data, out.data[perm], atol=1e-12)
 
     def test_swap_symmetry_of_expert_embeddings(self):
         # swapping two expert rows of S together with the mask columns leaves
         # each token's generated expert unchanged
-        x, bank, gate, hyper = setup_layer(t_tokens=4, n=3)
+        x, bank, gate, (experts, (_, mlp, _, _)) = setup_layer(t_tokens=4, n=3)
         dec = noisy_topk_gate(x, gate)
         mask = conditioning_mask(dec, "unselected").data
-        p1 = selection_embedding(Tensor(mask), hyper.tables, hyper.mlp)
-        swapped_tables = EmbeddingTables(
-            Tensor(hyper.tables.expert.data[[1, 0, 2]]), hyper.tables.layer
-        )
-        p2 = selection_embedding(Tensor(mask[:, [1, 0, 2]]), swapped_tables, hyper.mlp)
+        p1 = selection_embedding(Tensor(mask), experts, mlp)
+        p2 = selection_embedding(Tensor(mask[:, [1, 0, 2]]), Tensor(experts.data[[1, 0, 2]]), mlp)
         assert np.allclose(p1.data, p2.data)
 
     def test_condition_on_selected_variant(self):
-        x, bank, gate, hyper = setup_layer(condition_on="selected")
+        x, bank, gate, hyper = setup_layer()
         dec = noisy_topk_gate(x, gate)
-        out_sel = hypermoe_forward(x, bank, dec, hyper, 0)
-        hyper_uns = HyperComponents(hyper.tables, hyper.mlp, hyper.projector, hyper.generator, "unselected")
-        out_uns = hypermoe_forward(x, bank, dec, hyper_uns, 0)
+        out_sel = hypermoe_forward(x, bank, dec, *hyper, 0, "selected")
+        out_uns = hypermoe_forward(x, bank, dec, *hyper, 0, "unselected")
         assert not np.allclose(out_sel.data, out_uns.data)
 
     def test_gradient_completeness_and_accuracy(self):
         x, bank, gate, hyper = setup_layer(t_tokens=3)
+        experts, (layers, mlp, proj, generator) = hyper
         groups = {
-            "S": hyper.tables.expert,
-            "l": hyper.tables.layer,
-            "mlp.w1": hyper.mlp.w1,
-            "mlp.w2": hyper.mlp.w2,
-            "proj.w": hyper.projector.w,
-            "w_down": hyper.generator[0],
-            "w_up": hyper.generator[1],
+            "S": experts,
+            "l": layers,
+            "mlp.w1": mlp[0],
+            "mlp.w2": mlp[2],
+            "proj.w": proj[0],
+            "w_down": generator[0],
+            "w_up": generator[1],
             "gate": gate.w_gate,
             "experts.w1": bank[0],
         }
 
         dec = noisy_topk_gate(x, gate)
-        out = hypermoe_forward(x, bank, dec, hyper, 0)
+        out = hypermoe_forward(x, bank, dec, *hyper, 0, "unselected")
         tmean(out * out).backward()
         for name, p in groups.items():
             assert p.grad is not None and np.any(p.grad != 0), name
@@ -373,7 +350,7 @@ class TestHypermoeForward:
                 _p.data = candidate.data
                 try:
                     d = noisy_topk_gate(x, gate)
-                    y = hypermoe_forward(x, bank, d, hyper, 0)
+                    y = hypermoe_forward(x, bank, d, *hyper, 0, "unselected")
                     return tmean(y * y)
                 finally:
                     _p.data = saved
@@ -399,13 +376,14 @@ class TestGroupByMask:
         x, bank, gate, hyper = setup_layer(t_tokens=len(self.SELECTED), n=n, k=2)
         probs = Rng(7).uniform(len(self.SELECTED), n, low=0.1, high=1.0)
         dec = decision_from_probs(probs / probs.sum(axis=1, keepdims=True), self.SELECTED)
-        out = hypermoe_forward(x, bank, dec, hyper, 1)
+        experts, (layers, mlp, proj, generator) = hyper
+        out = hypermoe_forward(x, bank, dec, *hyper, 1, "unselected")
         base = moe_forward(x, bank, dec)
         mask = conditioning_mask(dec, "unselected")
         for i in range(len(self.SELECTED)):
-            p_i = selection_embedding(Tensor(mask.data[i : i + 1]), hyper.tables, hyper.mlp)
-            k_i = combine_embeddings(p_i, 1, hyper.tables, hyper.projector)
-            e_i = hyperexpert_forward(Tensor(x.data[i : i + 1]), generate_hyperexpert(k_i, hyper.generator, x.shape[1]))
+            p_i = selection_embedding(Tensor(mask.data[i : i + 1]), experts, mlp)
+            k_i = combine_embeddings(p_i, 1, layers, proj)
+            e_i = hyperexpert_forward(Tensor(x.data[i : i + 1]), generate_hyperexpert(k_i, generator, x.shape[1]))
             assert np.max(np.abs(out.data[i] - (base.data[i] + e_i.data[0]))) < 1e-12
 
 
@@ -442,7 +420,7 @@ def test_zero_generator_property_random_configs(seed):
     x, bank, gate, hyper = setup_layer(seed=seed, h=h, n=n, zero_generator=True)
     dec = noisy_topk_gate(x, gate)
     assert np.array_equal(
-        hypermoe_forward(x, bank, dec, hyper, 0).data, moe_forward(x, bank, dec).data
+        hypermoe_forward(x, bank, dec, *hyper, 0, "unselected").data, moe_forward(x, bank, dec).data
     )
 
 

@@ -11,6 +11,9 @@ generated expert does.
 
 ``moe.py`` and ``hyper.py`` neither raise nor import ``ConfigurationError``:
 ``ModelConfig`` and ``Model`` check every value the layers receive.
+
+``hyper.py`` defines no class: the HyperExpert's tables, selection MLP,
+projector and generator are plain tensors and tuples, as the expert banks are.
 """
 
 import ast
@@ -80,3 +83,10 @@ def test_layers_raise_no_configuration_error():
             elif isinstance(node, ast.alias) and node.name == "ConfigurationError":
                 offenders.append(f"{name}: imports ConfigurationError")
     assert not offenders, "layers that raise or import ConfigurationError: " + ", ".join(offenders)
+
+
+def test_hyper_defines_no_class():
+    path = PACKAGE / "hyper.py"
+    classes = [f"hyper.py:{node.lineno} {node.name}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    assert not classes, "classes that wrap HyperExpert parameters, which stay plain tuples: " + ", ".join(classes)
