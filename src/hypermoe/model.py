@@ -211,13 +211,20 @@ class Model:
         training: bool,
         noise_rng: Rng | None,
         decisions: list[GateDecision],
+        rows: np.ndarray | None = None,
     ) -> Tensor:
+        """The slot's output at token ``rows`` (every token when None); the gate routes every
+        token and appends that decision, and the slot runs on the decision's ``rows``."""
         cfg = self.cfg
         blk = self.blocks[layer_index]
         if cfg.layer_kind == "dense":
-            return expert_forward(x_tokens, blk["ffn"])
+            return expert_forward(x_tokens if rows is None else T.index(x_tokens, rows), blk["ffn"])
         decision = noisy_topk_gate(x_tokens, blk["gate"], rng=noise_rng, training=training)
         decisions.append(decision)
+        if rows is not None:  # router_probs keeps every row: the slot never reads it
+            x_tokens = T.index(x_tokens, rows)
+            decision = GateDecision(decision.router_probs, decision.selected[rows],
+                                    T.index(decision.gate_values, rows), decision.binary_mask[rows])
         if cfg.layer_kind == "moe":
             return moe_forward(x_tokens, blk["bank"], decision)
         if cfg.layer_kind == "moe_share":
@@ -234,6 +241,9 @@ class Model:
         return compress_expert_weights(self.blocks[layer_index]["bank"], self.conv_pipeline)
 
     def forward(self, inputs, training: bool = False, noise_rng: Rng | None = None) -> ForwardResult:
+        """The head's output at each sample's last position, and every MoE layer's decision over
+        all B*S tokens. In inference the last block's FFN slot, residual and ``ln_f`` run only at
+        the rows the head reads; training runs every row, so its numerics never depend on it."""
         cfg = self.cfg
         x = self._embed_inputs(inputs)
         batch, seq = x.shape[0], x.shape[1]
@@ -242,10 +252,14 @@ class Model:
             x = x + self._attention(blk, T.layer_norm(x, *blk["ln1"]))
             xn = T.layer_norm(x, *blk["ln2"])
             tokens = T.reshape(xn, (batch * seq, cfg.h))
-            slot = self._ffn_slot(i, tokens, training, noise_rng, decisions)
-            x = x + T.reshape(slot, (batch, seq, cfg.h))
+            if training or i < len(self.blocks) - 1:
+                slot = self._ffn_slot(i, tokens, training, noise_rng, decisions)
+                x = x + T.reshape(slot, (batch, seq, cfg.h))
+            else:
+                slot = self._ffn_slot(i, tokens, training, noise_rng, decisions, np.arange(seq - 1, batch * seq, seq))
+                x = T.index(x, (slice(None), seq - 1)) + slot
         x = T.layer_norm(x, *self.ln_f)
-        last = T.index(x, (slice(None), seq - 1))
+        last = T.index(x, (slice(None), seq - 1)) if training else x
         return ForwardResult(last @ self.head_w + self.head_b, decisions)
 
     # -- bookkeeping ---------------------------------------------------------

@@ -220,6 +220,17 @@ class TestGradcheckCommand:
         assert "all groups pass" in out
         assert "FAIL" not in out.replace("FAILURES", "")
 
+    def test_compressed_toy_passes(self, tmp_path, capsys):
+        # the compression chain takes no gradient, so the finite differences must not see it either
+        cfg = {"h": 16, "d_ff": 24, "n_experts": 4, "top_k": 2, "b": 2, "n_layers": 2, "layer_kind": "hypermoe",
+               "embedding_source": "compressed", "noise_enabled": False, "moduli": [3, 4], "train_size": 64,
+               "eval_size": 32, "batch_size": 8, "seed": 0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["gradcheck", "--config", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "all groups pass" in out and out.count("PASS ") == 51
+
     def test_model_above_the_limit_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, d_ff=1024)
         assert main(["gradcheck", "--config", path]) == EXIT_CONFIG

@@ -334,6 +334,7 @@ class TestEvaluate:
         result = model.forward(inputs)
         hist = utilization_histogram(result, cfg.n_experts)
         assert hist.sum() == 3 * 2 * 16 * model.task.seq_len
+        assert sum(evaluate(model, 16)["utilization"]) == 3 * 2 * 16 * model.task.seq_len
 
     def test_regression_task_reports_mse(self):
         cfg = tiny_cfg(task="piecewise_regression", train_size=64, eval_size=32)
@@ -446,6 +447,60 @@ class TestTrainStepGraph:
             tracemalloc.stop()
         assert result.outputs.data.shape[0] == 64
         assert held - base < 0.05 * (peak - base), (held - base, peak - base)
+
+
+SHORTCUT_CASES = {
+    "dense": dict(layer_kind="dense"),
+    "moe": dict(layer_kind="moe"),
+    "moe_share": dict(layer_kind="moe_share"),
+    "hypermoe": dict(layer_kind="hypermoe"),
+    "compressed": dict(layer_kind="hypermoe", embedding_source="compressed"),
+    "condition_on_selected": dict(layer_kind="hypermoe", condition_on="selected"),
+    "piecewise_regression": dict(layer_kind="hypermoe", task="piecewise_regression"),
+    "one_layer": dict(layer_kind="moe", n_layers=1),
+}
+
+
+class TestInferenceForward:
+    """An inference forward runs the last block's FFN slot only at the position the head reads;
+    with noise off, the training forward runs the full path and is its oracle."""
+
+    @pytest.mark.parametrize("kw", SHORTCUT_CASES.values(), ids=SHORTCUT_CASES.keys())
+    def test_matches_the_full_path(self, kw):
+        model = build_model(tiny_cfg(n_experts=4, top_k=2, noise_enabled=False, **kw))
+        inputs, _ = generate_task_batch(model.task, Rng(0), 16)
+        with T.no_grad():
+            full = model.forward(inputs, training=True)
+            short = model.forward(inputs, training=False)
+        assert np.max(np.abs(short.outputs.data - full.outputs.data)) <= 1e-12
+        assert len(short.decisions) == len(full.decisions) == (0 if kw["layer_kind"] == "dense" else model.cfg.n_layers)
+        for s, f in zip(short.decisions, full.decisions):
+            assert len(s.selected) == len(s.binary_mask) == len(s.router_probs.data) == 16 * model.task.seq_len
+            assert np.array_equal(s.router_probs.data, f.router_probs.data)
+            assert np.array_equal(s.selected, f.selected)
+            assert np.array_equal(s.binary_mask, f.binary_mask)
+
+    @pytest.mark.parametrize("kind", ["moe", "hypermoe"])
+    def test_training_runs_the_last_block_on_every_slot(self, kind, monkeypatch):
+        routed = T.routed_experts
+        slots = []
+
+        def counting(x, w1, w2, selected, gates):
+            slots.append(selected.size)
+            return routed(x, w1, w2, selected, gates)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hypermoe") and getattr(module, "routed_experts", None) is routed:
+                monkeypatch.setattr(module, "routed_experts", counting)
+        model = build_model(tiny_cfg(layer_kind=kind, top_k=2))
+        inputs, targets = generate_task_batch(model.task, Rng(0), 16)
+        tokens = 16 * model.task.seq_len
+        train_step(model, make_optimizer(model), inputs, targets, Rng(1))
+        assert slots == [tokens * 2] * model.cfg.n_layers
+        slots.clear()
+        with T.no_grad():
+            model.forward(inputs, training=False)
+        assert slots == [tokens * 2] * (model.cfg.n_layers - 1) + [16 * 2]
 
 
 class TestModelScaleZeroGenerator:
