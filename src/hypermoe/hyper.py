@@ -46,13 +46,15 @@ def combine_embeddings(p: Tensor, layer_index: int, layers: Tensor, proj: tuple)
 def _group_by_mask(selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each token's group id, one group per distinct routing mask, and the first token of each group.
 
-    The key is the token's sorted expert ids, compared exactly for any number of experts.
+    The key is the token's sorted expert ids, compared exactly for any number of experts. The
+    keys are held as K rows of T ids in the narrowest unsigned dtype, so the lexsort is K radix
+    passes and the comparison runs over whole rows, not one short row per token.
     """
-    keys = np.sort(selected, axis=1)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
+    keys = np.sort(selected, axis=1).T.astype(np.min_scalar_type(selected.max()), order="C")
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    new[1:] = np.logical_or.reduce(keys[:, 1:] != keys[:, :-1], axis=0)
     groups = np.empty(len(order), dtype=np.int64)
     groups[order] = np.cumsum(new) - 1
     return groups, order[new]

@@ -63,14 +63,18 @@ def noisy_topk_gate(
         logits = logits + noise * T.softplus(x @ cfg.w_noise)
     probs = T.softmax(logits)
 
-    # stable argsort of -p keeps the lower index first among ties
-    order = np.argsort(-probs.data, axis=1, kind="stable")
-    selected = order[:, : cfg.top_k]
+    # K rounds of argmax, each masking its winner to -inf: argmax keeps the lower index among
+    # ties, so this is the stable argsort of -p, without a sort per row. No probability is -inf,
+    # so the masked entries are exactly the selected ones.
+    p = probs.data.copy()
+    rows = np.arange(len(p))
+    selected = np.empty((len(p), cfg.top_k), dtype=np.intp)
+    for j in range(cfg.top_k):
+        selected[:, j] = p.argmax(axis=1)
+        p[rows, selected[:, j]] = -np.inf
+    mask = (p == -np.inf).astype(np.float64)
 
-    mask = np.zeros(probs.shape)
-    np.put_along_axis(mask, selected, 1.0, axis=1)
-
-    gate_values = T.index(probs, (np.arange(len(selected))[:, None], selected))
+    gate_values = T.index(probs, (rows[:, None], selected))
     return GateDecision(probs, selected, gate_values, mask)
 
 

@@ -374,7 +374,7 @@ def _grouped_ffn(x: Array, ids: Array, k: int, w1: Array, w2: Array) -> tuple[Ar
     each id present runs as two GEMMs on its contiguous slice, into one hidden
     and one output buffer.
     """
-    order = np.argsort(ids, kind="stable")
+    order = np.argsort(ids.astype(np.min_scalar_type(len(w1) - 1)), kind="stable")  # radix sort below 2**16 ids
     counts = np.bincount(ids, minlength=len(w1))
     ends = np.cumsum(counts)
     spans = [(u, ends[u] - counts[u], ends[u]) for u in np.flatnonzero(counts)]
@@ -419,7 +419,10 @@ def routed_experts(x: Tensor, w1: Tensor, w2: Tensor, selected: Array, gates: Te
     w1d, w2d = w1.data, w2.data
     y, state = _grouped_ffn(x.data, selected.reshape(-1), k, w1d, w2d)
     y = y.reshape(n, k, -1)
-    out = Tensor(np.matmul(gates.data[:, None, :], y)[:, 0])
+    if k == 1:  # exactly the 1x1 GEMV, without one BLAS call per token
+        out = Tensor(gates.data * y[:, 0])
+    else:  # OpenBLAS's GEMV uses FMA, which no numpy multiply-add matches
+        out = Tensor(np.matmul(gates.data[:, None, :], y)[:, 0])
 
     def back(g: Array) -> None:
         if gates.requires_grad:
@@ -469,18 +472,54 @@ def generated_expert(x: Tensor, codes: Tensor, groups: Array, w_down: Tensor, w_
 # softmax, reductions, losses
 
 
+def _column_sum(t: Array) -> Array:
+    """The sum over axis 0 of a (c, rows) array, in passes over whole rows of ``t``: bit for bit
+    what ``np.add.reduce`` gives along the last axis of its transpose. It follows numpy's pairwise
+    order, which adds each row's sum to 0.0: one running sum below 8 values, eight running sums
+    per block of 8 up to 128 values, and halves split at a multiple of 8 above that."""
+    c = len(t)
+    if c < 8:
+        total = np.zeros(t.shape[1:])  # numpy gives +0.0 for a row of -0.0 too
+        for row in t:
+            total += row
+        return total
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _column_sum(t[:half]) + _column_sum(t[half:])
+    acc = t[:8].copy()
+    blocks = c - c % 8
+    for i in range(8, blocks, 8):
+        acc += t[i:i + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in t[blocks:]:
+        total += row
+    total += 0.0  # turns a -0.0 total into 0.0, as numpy's does
+    return total
+
+
 def softmax(x: Tensor) -> Tensor:
-    """Numerically stabilized softmax over the last axis."""
-    if x.shape[-1] == 0:
+    """Numerically stabilized softmax over the last axis.
+
+    The last axis is short (experts, keys), and numpy reduces along it with one inner-loop call
+    per row, so forward and backward run on a C-contiguous (c, rows) transposed copy, as passes
+    over all rows at once. The max is exact in any order and ``_column_sum`` adds in numpy's
+    order, so the values are bit for bit those of the row form. Output and gradient are
+    C-contiguous, which keeps a batched matmul that reads them on the same BLAS path.
+    """
+    c = x.shape[-1]
+    if c == 0:
         raise DimensionError("softmax: empty last axis")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
+    t = x.data.reshape(-1, c).T.copy()
+    t -= t.max(axis=0)
+    np.exp(t, out=t)
+    t /= _column_sum(t)
+    out = Tensor(t.T.copy().reshape(x.shape))
 
     def back(g: Array) -> None:
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        x.accumulate_grad(y * (g - dot))
+        gt = g.reshape(-1, c).T.copy()
+        gt -= _column_sum(gt * t)
+        gt *= t
+        x.accumulate_grad(gt.T.copy().reshape(x.shape))
 
     return _record(out, (x,), back)
 
@@ -530,9 +569,12 @@ def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last axis with learned gain and bias."""
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    """Layer normalization over the last axis with learned gain and bias. A row holds h values
+    (32 and more in the benchmark's configs), where numpy's row reduction beats a transposed pass
+    (see ``softmax``); each mean is that sum divided by h, as ``.mean`` does, without its wrapper."""
+    h = x.shape[-1]
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / h
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / h + eps)
     xhat *= inv
     out = Tensor(xhat * gain.data + bias.data)
 
@@ -543,8 +585,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias.accumulate_grad(_unbroadcast(g, bias.shape))
         if x.requires_grad:
             dxhat = g * gain.data
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            dxhat -= dxhat.mean(axis=-1, keepdims=True)
+            m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / h
+            dxhat -= np.add.reduce(dxhat, axis=-1, keepdims=True) / h
             dxhat -= xhat * m2
             dxhat *= inv
             x.accumulate_grad(dxhat)

@@ -371,6 +371,23 @@ class TestGroupByMask:
         assert groups[4] == groups[0] and groups[5] not in groups[:5]
         assert np.array_equal(groups[first], np.arange(len(first)))
 
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 300])
+    def test_matches_the_per_row_formula(self, n):
+        # the keys sort as uint8 up to 256 experts, then as uint16; the oracle sorts and
+        # compares one token's row at a time, in int64
+        k = min(3, n - 1)
+        selected = np.argsort(Rng(n).uniform(2 * n, n), axis=1)[:, :k]  # K distinct experts per token
+        selected[0] = np.arange(n - k, n)
+        keys = np.sort(selected, axis=1)
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+        groups = np.empty(len(order), dtype=np.int64)
+        groups[order] = np.cumsum(new) - 1
+        got_groups, got_first = _group_by_mask(selected)
+        assert np.array_equal(got_groups, groups) and np.array_equal(got_first, order[new])
+
     def test_layer_matches_per_token_oracle_at_60_experts(self):
         n = 60
         x, bank, gate, hyper = setup_layer(t_tokens=len(self.SELECTED), n=n, k=2)

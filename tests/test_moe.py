@@ -101,6 +101,21 @@ class TestGate:
         shifted = T.softmax(Tensor(logits + 3.7))
         assert np.array_equal(np.argmax(shifted.data, axis=1), d1.selected[:, 0])
 
+    @pytest.mark.parametrize("n", [*range(2, 13), 60])
+    def test_top_k_with_ties_is_the_stable_argsort(self, n):
+        # logits on a grid of quarters (an identity gate passes them through), so a row's
+        # probabilities tie often and bit for bit
+        logits = Rng(n).integers(0, 4, 300, n) / 4.0
+        for k in range(1, n) if n <= 12 else (1, 2, 7, 30, 59):
+            dec = noisy_topk_gate(Tensor(logits), make_gate(n, n, k=k, w_gate=np.eye(n)))
+            p = dec.router_probs.data
+            want = np.argsort(-p, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(dec.selected, want), k
+            assert np.array_equal(dec.gate_values.data, np.take_along_axis(p, want, axis=1)), k
+            mask = np.zeros_like(p)
+            np.put_along_axis(mask, want, 1.0, axis=1)
+            assert np.array_equal(dec.binary_mask, mask), k
+
 
 class TestExpertForward:
     def test_zero_w1(self):
@@ -274,6 +289,35 @@ class TestGroupedDispatch:
             moe_forward(x, bank, dec)
         assert len(tape.records) == 1
         assert tape.records[0]._parents == (x, dec.gate_values, bank[0], bank[1])
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 300])
+    def test_slot_sort_is_the_stable_argsort(self, n):
+        # the ids sort in the narrowest unsigned dtype that holds N - 1: uint8 up to 256, then uint16
+        ids = Rng(n).integers(0, n, 2000)
+        ids[[0, -1]] = n - 1
+        rng = Rng(0)
+        _, (order, *_) = T._grouped_ffn(rng.gaussian(2000, 2), ids, 1, rng.gaussian(n, 2, 3), rng.gaussian(n, 3, 2))
+        assert np.array_equal(order, np.argsort(ids, kind="stable"))
+
+    def test_k1_combine_is_bitwise_the_matmul_combine(self):
+        n_tokens, h, d_ff, n = 500, 6, 16, 5
+        rng = Rng(4)
+        x = Tensor(rng.gaussian(n_tokens, h), requires_grad=True)
+        w1, w2 = make_bank(h, d_ff, n)
+        selected = rng.integers(0, n, n_tokens, 1)
+        gates = Tensor(rng.uniform(n_tokens, 1), requires_grad=True)
+        g = rng.gaussian(n_tokens, h)
+        out = T.routed_experts(x, w1, w2, selected, gates)
+        T.tsum(out * Tensor(g)).backward()  # hands routed_experts exactly g
+
+        # oracle: the gate-weighted sum as one 1 x 1 GEMV per token, and its backward rule
+        y, state = T._grouped_ffn(x.data, selected.reshape(-1), 1, w1.data, w2.data)
+        y = y.reshape(n_tokens, 1, h)
+        want = np.matmul(gates.data[:, None, :], y)[:, 0]
+        dx, dw1, dw2 = T._grouped_ffn_back(gates.data * g, 1, state, w1.data, w2.data)
+        d_gates = np.einsum("th,tkh->tk", g, y)
+        for got, ref in ((out.data, want), (x.grad, dx), (w1.grad, dw1), (w2.grad, dw2), (gates.grad, d_gates)):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestLoadBalanceLoss:

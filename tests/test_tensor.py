@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hypermoe import tensor as T
@@ -115,6 +115,50 @@ class TestSoftmax:
     def test_empty_axis_rejected(self):
         with pytest.raises(DimensionError):
             T.softmax(Tensor(np.zeros((2, 0))))
+
+    @given(c=st.integers(1, 70), rows=st.integers(1, 2000), lead=st.sampled_from([(), (1,), (2,)]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_the_row_formula(self, c, rows, lead, scale, seed):
+        rng = Rng(seed)
+        shape = lead + (rows, c)
+        x, g = rng.gaussian(*shape) * scale, rng.gaussian(*shape)
+        # oracle: the row form over the last axis, with numpy's own row reductions
+        shifted = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        y = e / e.sum(axis=-1, keepdims=True)
+        dx = y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+        xt = Tensor(x, requires_grad=True)
+        out = T.softmax(xt)
+        T.tsum(out * Tensor(g)).backward()  # hands softmax exactly g
+        assert out.data.tobytes() == y.tobytes() and xt.grad.tobytes() == dx.tobytes()
+        # a strided output would send a batched matmul that reads it off its BLAS path
+        assert out.data.flags.c_contiguous and xt.grad.flags.c_contiguous
+        assert out.shape == xt.grad.shape == shape
+
+
+VALUE_MIX = np.array([-0.0, 0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300])
+
+
+class TestColumnSum:
+    @given(c=st.integers(1, 300), rows=st.integers(1, 40), mixed=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    @example(c=7, rows=40, mixed=0.05, seed=0)  # the edges of the three regimes
+    @example(c=8, rows=40, mixed=0.05, seed=0)
+    @example(c=128, rows=40, mixed=0.05, seed=0)
+    @example(c=129, rows=40, mixed=0.05, seed=0)
+    @example(c=300, rows=40, mixed=0.0, seed=0)
+    def test_bitwise_equal_to_numpy_row_reduce(self, c, rows, mixed, seed):
+        """Pins ``_column_sum`` to numpy's pairwise order in all three regimes (below 8, up to
+        128, above 128): a numpy whose order differs fails here, not in the training numerics."""
+        gen = np.random.default_rng(seed)
+        a = gen.standard_normal((rows, c)) * 10.0 ** gen.integers(-3, 4, (rows, c))
+        special = gen.random((rows, c)) < mixed
+        a[special] = gen.choice(VALUE_MIX, special.sum())
+        a[0] = -0.0  # a row of negative zeros sums to +0.0
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and 1e300 + 1e300
+            want = np.add.reduce(a, axis=-1)
+            got = T._column_sum(a.T.copy())
+        assert got.tobytes() == want.tobytes()
 
 
 class TestReductionsLosses:
