@@ -32,9 +32,7 @@ def save_checkpoint(model: Model, path: str, step: int = 0) -> None:
     for name in names:
         p = model.params[name]
         buf = np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-        entries.append(
-            {"name": name, "shape": list(p.shape), "offset": len(payload), "count": p.size}
-        )
+        entries.append({"name": name, "shape": list(p.shape), "offset": len(payload)})
         payload += buf
     manifest = {
         "format": FORMAT,

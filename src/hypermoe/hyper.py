@@ -6,10 +6,11 @@ into a selection embedding, fuse it with the layer embedding into a code k,
 and feed k to the generator, one (W_down, W_up) tuple shared by every layer,
 for a (down, up) bottleneck expert that runs in parallel with the routed
 experts, whose bank is a (W1, W2) tuple of stacks (see ``moe``). Every
-parameter is a plain tensor or tuple: the (N, t') expert table, the (L, t')
-layer table, the MLP (w1, b1, w2, b2), the projector (w, b) and the
-generator. A model shares one (layer table, MLP, projector, generator)
-tuple across its layers, and each layer passes its own expert table. A
+parameter is a plain tensor or tuple: the (L, t') layer table, the MLP
+(w1, b1, w2, b2), the projector (w, b) and the generator. A model shares one
+(layer table, MLP, projector, generator) tuple across its layers, and each
+layer passes its own (N, t') expert table: the learned ``hyper.experts``, or
+its expert weights compressed, which is no parameter at all. A
 layer has at most C(N, K) distinct masks, so the embeddings and codes are
 computed once per distinct mask, and ``tensor.generated_expert`` builds each
 mask's D and U once and runs the tokens grouped by mask in one graph node.

@@ -19,10 +19,9 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .conv import ConvPipeline, compress_expert_weights, default_pipeline_spec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 from .hyper import hypermoe_forward
 from .moe import (
-    GateConfig,
     GateDecision,
     expert_forward,
     moe_forward,
@@ -142,9 +141,7 @@ class Model:
                 self._param(f"l{i}.ffn.w2", (d_ff, h), inv_ff),
             )
         else:
-            blk["gate"] = GateConfig(
-                cfg.top_k,
-                cfg.noise_enabled,
+            blk["gate"] = (
                 self._param(f"l{i}.gate.wg", (h, cfg.n_experts), inv_h),
                 self._param(f"l{i}.gate.wnoise", (h, cfg.n_experts), inv_h),
             )
@@ -162,11 +159,13 @@ class Model:
         return blk
 
     def _build_hyper(self) -> None:
-        """The learned expert table ``hyper.experts``, then the tuple every layer shares:
-        (layer table, selection MLP (w1, b1, w2, b2), projector (w, b), generator (w_down, w_up))."""
+        """The learned (N, t') expert table ``hyper.experts``, for the learned embedding source
+        only, then the tuple every layer shares: (layer table, selection MLP (w1, b1, w2, b2),
+        projector (w, b), generator (w_down, w_up))."""
         cfg = self.cfg
         gen_std = 0.02 / cfg.t_k**0.25   # variance 0.02^2 / sqrt(t_k): near-zero experts at step 0
-        self._param("hyper.experts", (cfg.n_experts, cfg.t_prime), 0.02)
+        if cfg.embedding_source == "learned":
+            self._param("hyper.experts", (cfg.n_experts, cfg.t_prime), 0.02)
         self.hyper = (
             self._param("hyper.layers", (cfg.n_layers, cfg.t_prime), 0.02),
             (
@@ -208,18 +207,18 @@ class Model:
         self,
         layer_index: int,
         x_tokens: Tensor,
-        training: bool,
         noise_rng: Rng | None,
         decisions: list[GateDecision],
         rows: np.ndarray | None = None,
     ) -> Tensor:
         """The slot's output at token ``rows`` (every token when None); the gate routes every
-        token and appends that decision, and the slot runs on the decision's ``rows``."""
+        token, noised when given ``noise_rng``, and appends that decision, and the slot runs on
+        the decision's ``rows``."""
         cfg = self.cfg
         blk = self.blocks[layer_index]
         if cfg.layer_kind == "dense":
             return expert_forward(x_tokens if rows is None else T.index(x_tokens, rows), blk["ffn"])
-        decision = noisy_topk_gate(x_tokens, blk["gate"], rng=noise_rng, training=training)
+        decision = noisy_topk_gate(x_tokens, blk["gate"], cfg.top_k, noise_rng)
         decisions.append(decision)
         if rows is not None:  # router_probs keeps every row: the slot never reads it
             x_tokens = T.index(x_tokens, rows)
@@ -243,8 +242,13 @@ class Model:
     def forward(self, inputs, training: bool = False, noise_rng: Rng | None = None) -> ForwardResult:
         """The head's output at each sample's last position, and every MoE layer's decision over
         all B*S tokens. In inference the last block's FFN slot, residual and ``ln_f`` run only at
-        the rows the head reads; training runs every row, so its numerics never depend on it."""
+        the rows the head reads; training runs every row, so its numerics never depend on it.
+        The gates add noise only in training with ``noise_enabled``, where ``noise_rng`` is required."""
         cfg = self.cfg
+        if not (training and cfg.noise_enabled and cfg.layer_kind != "dense"):
+            noise_rng = None
+        elif noise_rng is None:
+            raise ContractError("noisy gating in training mode requires an rng")
         x = self._embed_inputs(inputs)
         batch, seq = x.shape[0], x.shape[1]
         decisions: list[GateDecision] = []
@@ -253,10 +257,10 @@ class Model:
             xn = T.layer_norm(x, *blk["ln2"])
             tokens = T.reshape(xn, (batch * seq, cfg.h))
             if training or i < len(self.blocks) - 1:
-                slot = self._ffn_slot(i, tokens, training, noise_rng, decisions)
+                slot = self._ffn_slot(i, tokens, noise_rng, decisions)
                 x = x + T.reshape(slot, (batch, seq, cfg.h))
             else:
-                slot = self._ffn_slot(i, tokens, training, noise_rng, decisions, np.arange(seq - 1, batch * seq, seq))
+                slot = self._ffn_slot(i, tokens, noise_rng, decisions, np.arange(seq - 1, batch * seq, seq))
                 x = T.index(x, (slice(None), seq - 1)) + slot
         x = T.layer_norm(x, *self.ln_f)
         last = T.index(x, (slice(None), seq - 1)) if training else x

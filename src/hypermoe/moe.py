@@ -4,9 +4,12 @@ Noisy top-k gating over N expert FFNs, sparse combination of the selected
 experts' outputs, the load-balancing auxiliary loss, and the MoE-Share
 baseline (routed experts plus one always-on shared MLP).
 
-An expert, the shared MLP and a layer's expert bank are each a plain
-(W1, W2) tuple. A bank stacks its N experts: W1 of shape (N, h, d_ff) and
-W2 of shape (N, d_ff, h), whose row e is expert e. Dispatch is slot-ordered:
+A layer's gate is a plain (W_g, W_noise) tuple, and an expert, the shared
+MLP and a layer's expert bank are each a plain (W1, W2) tuple. The gate adds
+noise exactly when it is handed an rng; ``Model.forward`` decides whether it
+is. ``GateDecision``, a gate call's routing result, is the one class. A bank
+stacks its N experts: W1 of shape (N, h, d_ff) and W2 of shape (N, d_ff, h),
+whose row e is expert e. Dispatch is slot-ordered:
 each token's K routing decisions are T*K flat slots. ``expert_forward``,
 given the gate decision, records one ``tensor.routed_experts`` node per
 layer: it sorts the slots by expert once, runs each used expert once on its
@@ -22,16 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
 from .tensor import Rng, Tensor
-
-
-@dataclass
-class GateConfig:
-    top_k: int
-    noise_enabled: bool
-    w_gate: Tensor      # (h, N)
-    w_noise: Tensor     # (h, N)
 
 
 @dataclass
@@ -44,23 +38,17 @@ class GateDecision:
     binary_mask: np.ndarray     # (T, N) 0/1, exactly K ones per row
 
 
-def noisy_topk_gate(
-    x: Tensor,
-    cfg: GateConfig,
-    rng: Rng | None = None,
-    training: bool = False,
-) -> GateDecision:
-    """Route each token: softmax over (optionally noised) gate logits, keep top-k.
+def noisy_topk_gate(x: Tensor, gate: tuple, top_k: int, rng: Rng | None = None) -> GateDecision:
+    """Route each token: softmax over the gate logits x W_g, noised by rng's Gaussians times
+    softplus(x W_noise) when given an rng, and keep the top ``top_k``.
 
-    Ties are broken toward the lower expert index. Noise is applied only in
-    training mode and requires an rng.
+    ``gate`` is the (W_g, W_noise) pair, each (h, N). Ties are broken toward the lower expert index.
     """
-    logits = x @ cfg.w_gate
-    if training and cfg.noise_enabled:
-        if rng is None:
-            raise ContractError("noisy gating in training mode requires an rng")
+    w_gate, w_noise = gate
+    logits = x @ w_gate
+    if rng is not None:
         noise = Tensor(rng.gaussian(*logits.shape))
-        logits = logits + noise * T.softplus(x @ cfg.w_noise)
+        logits = logits + noise * T.softplus(x @ w_noise)
     probs = T.softmax(logits)
 
     # K rounds of argmax, each masking its winner to -inf: argmax keeps the lower index among
@@ -68,8 +56,8 @@ def noisy_topk_gate(
     # so the masked entries are exactly the selected ones.
     p = probs.data.copy()
     rows = np.arange(len(p))
-    selected = np.empty((len(p), cfg.top_k), dtype=np.intp)
-    for j in range(cfg.top_k):
+    selected = np.empty((len(p), top_k), dtype=np.intp)
+    for j in range(top_k):
         selected[:, j] = p.argmax(axis=1)
         p[rows, selected[:, j]] = -np.inf
     mask = (p == -np.inf).astype(np.float64)

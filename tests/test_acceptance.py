@@ -14,7 +14,7 @@ from hypermoe.config import ModelConfig
 from hypermoe.conv import ConvPipelineSpec, Stage, shape_chain
 from hypermoe.hyper import conditioning_mask, hypermoe_forward
 from hypermoe.model import build_model
-from hypermoe.moe import GateConfig, GateDecision, load_balance_loss, moe_forward, noisy_topk_gate
+from hypermoe.moe import GateDecision, load_balance_loss, moe_forward, noisy_topk_gate
 from hypermoe.tensor import Rng, Tensor
 from hypermoe.training import train_model
 
@@ -34,9 +34,7 @@ def random_layer(rng: Rng, zero_generator: bool):
     tp = int(rng.integers(2, 9))
     tk = int(rng.integers(2, 9))
     n_tok = int(rng.integers(1, 12))
-    gate = GateConfig(
-        k, False, Tensor(rng.gaussian(h, n)), Tensor(rng.gaussian(h, n))
-    )
+    gate = (Tensor(rng.gaussian(h, n)), Tensor(rng.gaussian(h, n)))
     bank = (
         Tensor(np.stack([rng.gaussian(h, d_ff) for _ in range(n)])),
         Tensor(np.stack([rng.gaussian(d_ff, h) for _ in range(n)])),
@@ -53,7 +51,7 @@ def random_layer(rng: Rng, zero_generator: bool):
         ),
     )
     x = Tensor(rng.gaussian(n_tok, h))
-    return x, gate, bank, hyper
+    return x, gate, k, bank, hyper
 
 
 def test_criterion_1_zero_generator_equivalence():
@@ -62,8 +60,8 @@ def test_criterion_1_zero_generator_equivalence():
     rng = Rng(1001)
     exact = 0
     for _ in range(100):
-        x, gate, bank, hyper = random_layer(rng, zero_generator=True)
-        dec = noisy_topk_gate(x, gate)
+        x, gate, k, bank, hyper = random_layer(rng, zero_generator=True)
+        dec = noisy_topk_gate(x, gate, k)
         a = hypermoe_forward(x, bank, dec, *hyper, 0, "unselected").data
         b = moe_forward(x, bank, dec).data
         exact += int(np.array_equal(a, b))
@@ -105,8 +103,8 @@ def test_criterion_3_routing_invariants():
         k = 1 + checked % n if (1 + checked % n) < n else 1
         h = 4 + checked % 9
         tokens = 1 + checked % 64
-        gate = GateConfig(k, True, Tensor(rng.gaussian(h, n)), Tensor(rng.gaussian(h, n)))
-        dec = noisy_topk_gate(Tensor(rng.gaussian(tokens, h)), gate, rng=rng, training=True)
+        gate = (Tensor(rng.gaussian(h, n)), Tensor(rng.gaussian(h, n)))
+        dec = noisy_topk_gate(Tensor(rng.gaussian(tokens, h)), gate, k, rng=rng)
         z = dec.binary_mask
         ok &= dec.selected.shape == (tokens, k)
         ok &= all(len(set(row)) == k for row in dec.selected)

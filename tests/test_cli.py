@@ -24,6 +24,8 @@ from hypermoe.tasks import MAX_INSTANCES
 from hypermoe.tensor import Tensor
 from hypermoe.training import evaluate, train_model
 
+from test_harness import rewrite_manifest
+
 TINY = {
     "h": 16,
     "d_ff": 16,
@@ -166,6 +168,23 @@ class TestEvalCommand:
         open(ck, "wb").write(bytes(blob))
         assert main(["eval", "--checkpoint", ck]) == EXIT_INTEGRITY
 
+    def test_compressed_checkpoint_listing_the_learned_table_exit_4(self, tmp_path, capsys):
+        # a compressed model has no hyper.experts. The file a compressed model wrote while it still
+        # allocated the table is the learned-source file of its config (every parameter draws from
+        # its own stream, and the frozen conv chain is not saved) with a count in each entry
+        path = str(tmp_path / "old.bin")
+        save_checkpoint(build_model(ModelConfig(**{**TINY, "layer_kind": "hypermoe"})), path)
+
+        def as_compressed(manifest):
+            manifest["config"]["embedding_source"] = "compressed"
+            for e in manifest["params"]:
+                e["count"] = int(np.prod(e["shape"]))
+
+        rewrite_manifest(path, as_compressed)
+        assert main(["eval", "--checkpoint", path]) == EXIT_INTEGRITY
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'hyper.experts'" in err
+
     @pytest.mark.parametrize("kind", ["directory", "missing"])
     def test_unreadable_checkpoint_exit_4_names_path(self, tmp_path, capsys, kind):
         path = str(tmp_path if kind == "directory" else tmp_path / "nothere.bin")
@@ -229,7 +248,7 @@ class TestGradcheckCommand:
         path.write_text(json.dumps(cfg))
         assert main(["gradcheck", "--config", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "all groups pass" in out and out.count("PASS ") == 51
+        assert "all groups pass" in out and out.count("PASS ") == 50
 
     def test_model_above_the_limit_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, d_ff=1024)
@@ -301,8 +320,8 @@ class TestAnalyzeEmbeddings:
         assert sel_d.shape == (2, 2)
 
     def test_compressed_checkpoint_reads_the_layer_embeddings(self):
-        # a compressed model's forward replaces the learned expert table, which
-        # then never trains, by each layer's compressed expert weights
+        # a compressed model has no learned expert table: each layer's forward
+        # reads that layer's compressed expert weights
         cfg = ModelConfig(**{**TINY, "layer_kind": "hypermoe", "embedding_source": "compressed", "steps": 3})
         model = build_model(cfg)
         train_model(model)

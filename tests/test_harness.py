@@ -146,6 +146,15 @@ class TestBuildContracts:
         hyper_total = sum(v for n, v in census.items() if n.startswith("hyper."))
         assert hyper_total == hypernetwork + e * tp + cfg.n_layers * tp + selection_mlp + projector
 
+    def test_compressed_model_has_no_learned_table(self):
+        learned = build_model(tiny_cfg(layer_kind="hypermoe"))
+        compressed = build_model(tiny_cfg(layer_kind="hypermoe", embedding_source="compressed"))
+        assert sorted(compressed.params) == sorted(set(learned.params) - {"hyper.experts"})
+        cfg = compressed.cfg
+        assert compressed.total_params() == learned.total_params() - cfg.n_experts * cfg.t_prime
+        for name, p in compressed.params.items():
+            assert np.array_equal(p.data, learned.params[name].data), name
+
     def test_common_parameters_shared_across_layer_kinds(self):
         cfg_a = tiny_cfg(layer_kind="moe")
         cfg_b = tiny_cfg(layer_kind="hypermoe")
@@ -547,6 +556,32 @@ class TestCheckpoint:
         for name, p in model.params.items():
             assert np.array_equal(loaded.params[name].data, p.data), name
 
+    def test_compressed_roundtrip_bit_exact(self, tmp_path):
+        model = build_model(tiny_cfg(layer_kind="hypermoe", embedding_source="compressed"))
+        train_model(model)
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(model, path, step=model.cfg.steps)
+        loaded, step = load_checkpoint(path)
+        assert step == model.cfg.steps
+        assert sorted(loaded.params) == sorted(model.params) and "hyper.experts" not in loaded.params
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data), name
+
+    def test_manifest_entries_carry_no_count(self, tmp_path):
+        # the size follows from the shape; an entry that still carries a count, as older
+        # format-2 files do, loads the same
+        path = str(tmp_path / "ck.bin")
+        model = build_model(tiny_cfg(layer_kind="hypermoe"))
+        save_checkpoint(model, path)
+        with open(path, "rb") as f:
+            data = f.read()
+        (n,) = struct.unpack("<Q", data[len(MAGIC) : HEAD])
+        assert all(sorted(e) == ["name", "offset", "shape"] for e in json.loads(data[HEAD : HEAD + n])["params"])
+        rewrite_manifest(path, lambda m: [e.update(count=int(np.prod(e["shape"]))) for e in m["params"]])
+        loaded, _ = load_checkpoint(path)
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data), name
+
     @pytest.mark.parametrize("source", EMBEDDING_SOURCES)
     def test_load_draws_no_random_init(self, source, tmp_path, monkeypatch):
         model = build_model(tiny_cfg(layer_kind="hypermoe", embedding_source=source))
@@ -676,7 +711,7 @@ class TestCheckpointManifest:
             load_checkpoint(path)
 
     def test_unknown_parameter_rejected(self, path):
-        extra = {"name": "head.extra", "shape": [4], "offset": 0, "count": 4}
+        extra = {"name": "head.extra", "shape": [4], "offset": 0}
         rewrite_manifest(path, lambda m: m["params"].append(extra))
         with pytest.raises(IntegrityError, match="head.extra"):
             load_checkpoint(path)

@@ -88,8 +88,7 @@ class TestUnselectedMask:
         assert conditioning_mask(dec, "unselected").data.tolist() == [[0.0]]
 
     def test_row_sums_equal_n_minus_k(self):
-        cfg = make_gate(5, 4, k=2)
-        dec = noisy_topk_gate(Tensor(Rng(1).gaussian(30, 5)), cfg)
+        dec = noisy_topk_gate(Tensor(Rng(1).gaussian(30, 5)), make_gate(5, 4), 2)
         assert np.all(conditioning_mask(dec, "unselected").data.sum(axis=1) == 2)
 
 
@@ -110,8 +109,7 @@ class TestSelectionEmbedding:
         assert np.allclose(out.data, np.maximum([[1.0, -1.0]], 0.0))
 
     def test_aggregation_weights_sum_to_one(self):
-        cfg = make_gate(5, 4, k=1)
-        dec = noisy_topk_gate(Tensor(Rng(2).gaussian(10, 5)), cfg)
+        dec = noisy_topk_gate(Tensor(Rng(2).gaussian(10, 5)), make_gate(5, 4), 1)
         mask = conditioning_mask(dec, "unselected")
         weights = mask.data / mask.data.sum(axis=1, keepdims=True)
         assert np.all(weights >= 0)
@@ -242,7 +240,7 @@ class TestGeneratedExpert:
         # size of the per-token D (T, b) and U (T, b, h) stacks
         n_tokens, h, b, tk = 32, 8, 4, 3
         x, bank, gate, hyper = setup_layer(t_tokens=n_tokens, h=h, n=3, d_ff=16, tk=tk, b=b)
-        out = hypermoe_forward(x, bank, noisy_topk_gate(x, gate), *hyper, 0, "unselected")
+        out = hypermoe_forward(x, bank, noisy_topk_gate(x, gate, 1), *hyper, 0, "unselected")
         seen, stack, largest = set(), [out], 0
         while stack:
             node = stack.pop()
@@ -255,9 +253,9 @@ class TestGeneratedExpert:
         assert largest < n_tokens * h * b, largest
 
 
-def setup_layer(seed=0, t_tokens=5, h=4, n=3, k=1, d_ff=6, n_layers=2, t=3, tp=3, tk=3, b=2, **hkw):
+def setup_layer(seed=0, t_tokens=5, h=4, n=3, d_ff=6, n_layers=2, t=3, tp=3, tk=3, b=2, **hkw):
     bank = make_bank(h, d_ff, n, seed=seed + 1)
-    gate = make_gate(h, n, k=k, seed=seed + 2)
+    gate = make_gate(h, n, seed=seed + 2)
     x = Tensor(Rng(seed + 3).gaussian(t_tokens, h))
     hyper = make_hyper(h, n, n_layers, t, tp, tk, b, seed=seed + 4, **hkw)
     return x, bank, gate, hyper
@@ -266,7 +264,7 @@ def setup_layer(seed=0, t_tokens=5, h=4, n=3, k=1, d_ff=6, n_layers=2, t=3, tp=3
 class TestHypermoeForward:
     def test_zero_generator_reduces_to_moe(self):
         x, bank, gate, hyper = setup_layer(zero_generator=True)
-        dec = noisy_topk_gate(x, gate)
+        dec = noisy_topk_gate(x, gate, 1)
         assert np.array_equal(
             hypermoe_forward(x, bank, dec, *hyper, 0, "unselected").data, moe_forward(x, bank, dec).data
         )
@@ -274,7 +272,7 @@ class TestHypermoeForward:
     def test_identical_tokens_identical_hyperexpert(self):
         x, bank, gate, hyper = setup_layer()
         xx = Tensor(np.tile(x.data[:1], (3, 1)))
-        dec = noisy_topk_gate(xx, gate)
+        dec = noisy_topk_gate(xx, gate, 1)
         out = hypermoe_forward(xx, bank, dec, *hyper, 0, "unselected")
         assert np.allclose(out.data[0], out.data[1])
         assert np.allclose(out.data[0], out.data[2])
@@ -282,7 +280,7 @@ class TestHypermoeForward:
     def test_matches_pipeline_composition_oracle(self):
         # compose the five sub-operations independently, token by token
         x, bank, gate, hyper = setup_layer(t_tokens=2, h=4, n=3, b=2)
-        dec = noisy_topk_gate(x, gate)
+        dec = noisy_topk_gate(x, gate, 1)
         experts, (layers, mlp, proj, generator) = hyper
         out = hypermoe_forward(x, bank, dec, *hyper, 1, "unselected")
         base = moe_forward(x, bank, dec)
@@ -297,10 +295,10 @@ class TestHypermoeForward:
     def test_token_permutation_equivariance(self):
         x, bank, gate, hyper = setup_layer(t_tokens=6)
         perm = np.array([3, 0, 5, 1, 4, 2])
-        dec = noisy_topk_gate(x, gate)
+        dec = noisy_topk_gate(x, gate, 1)
         out = hypermoe_forward(x, bank, dec, *hyper, 0, "unselected")
         xp = Tensor(x.data[perm])
-        decp = noisy_topk_gate(xp, gate)
+        decp = noisy_topk_gate(xp, gate, 1)
         outp = hypermoe_forward(xp, bank, decp, *hyper, 0, "unselected")
         assert np.allclose(outp.data, out.data[perm], atol=1e-12)
 
@@ -308,7 +306,7 @@ class TestHypermoeForward:
         # swapping two expert rows of S together with the mask columns leaves
         # each token's generated expert unchanged
         x, bank, gate, (experts, (_, mlp, _, _)) = setup_layer(t_tokens=4, n=3)
-        dec = noisy_topk_gate(x, gate)
+        dec = noisy_topk_gate(x, gate, 1)
         mask = conditioning_mask(dec, "unselected").data
         p1 = selection_embedding(Tensor(mask), experts, mlp)
         p2 = selection_embedding(Tensor(mask[:, [1, 0, 2]]), Tensor(experts.data[[1, 0, 2]]), mlp)
@@ -316,7 +314,7 @@ class TestHypermoeForward:
 
     def test_condition_on_selected_variant(self):
         x, bank, gate, hyper = setup_layer()
-        dec = noisy_topk_gate(x, gate)
+        dec = noisy_topk_gate(x, gate, 1)
         out_sel = hypermoe_forward(x, bank, dec, *hyper, 0, "selected")
         out_uns = hypermoe_forward(x, bank, dec, *hyper, 0, "unselected")
         assert not np.allclose(out_sel.data, out_uns.data)
@@ -332,11 +330,11 @@ class TestHypermoeForward:
             "proj.w": proj[0],
             "w_down": generator[0],
             "w_up": generator[1],
-            "gate": gate.w_gate,
+            "gate": gate[0],
             "experts.w1": bank[0],
         }
 
-        dec = noisy_topk_gate(x, gate)
+        dec = noisy_topk_gate(x, gate, 1)
         out = hypermoe_forward(x, bank, dec, *hyper, 0, "unselected")
         tmean(out * out).backward()
         for name, p in groups.items():
@@ -349,7 +347,7 @@ class TestHypermoeForward:
                 saved = _p.data
                 _p.data = candidate.data
                 try:
-                    d = noisy_topk_gate(x, gate)
+                    d = noisy_topk_gate(x, gate, 1)
                     y = hypermoe_forward(x, bank, d, *hyper, 0, "unselected")
                     return tmean(y * y)
                 finally:
@@ -390,7 +388,7 @@ class TestGroupByMask:
 
     def test_layer_matches_per_token_oracle_at_60_experts(self):
         n = 60
-        x, bank, gate, hyper = setup_layer(t_tokens=len(self.SELECTED), n=n, k=2)
+        x, bank, gate, hyper = setup_layer(t_tokens=len(self.SELECTED), n=n)
         probs = Rng(7).uniform(len(self.SELECTED), n, low=0.1, high=1.0)
         dec = decision_from_probs(probs / probs.sum(axis=1, keepdims=True), self.SELECTED)
         experts, (layers, mlp, proj, generator) = hyper
@@ -435,7 +433,7 @@ def test_zero_generator_property_random_configs(seed):
     n = 2 + seed % 4
     h = 4 + 2 * (seed % 3)
     x, bank, gate, hyper = setup_layer(seed=seed, h=h, n=n, zero_generator=True)
-    dec = noisy_topk_gate(x, gate)
+    dec = noisy_topk_gate(x, gate, 1)
     assert np.array_equal(
         hypermoe_forward(x, bank, dec, *hyper, 0, "unselected").data, moe_forward(x, bank, dec).data
     )

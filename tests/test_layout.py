@@ -14,11 +14,20 @@ generated expert does.
 
 ``hyper.py`` defines no class: the HyperExpert's tables, selection MLP,
 projector and generator are plain tensors and tuples, as the expert banks are.
+``moe.py`` defines one, ``GateDecision``, a gate call's routing result; every
+weight pair a block holds (its gate, bank, shared FFN or dense FFN) is a plain
+tuple of two tensors.
 """
 
 import ast
 import pathlib
 import re
+
+import pytest
+
+from hypermoe.config import LAYER_KINDS, ModelConfig
+from hypermoe.model import Model
+from hypermoe.tensor import Tensor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hypermoe"
@@ -90,3 +99,22 @@ def test_hyper_defines_no_class():
     classes = [f"hyper.py:{node.lineno} {node.name}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.ClassDef)]
     assert not classes, "classes that wrap HyperExpert parameters, which stay plain tuples: " + ", ".join(classes)
+
+
+def test_moe_defines_only_the_gate_decision():
+    path = PACKAGE / "moe.py"
+    classes = [node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    assert classes == ["GateDecision"], "moe.py's classes, where only the per-call routing result belongs: " + ", ".join(classes)
+
+
+@pytest.mark.parametrize("layer_kind", LAYER_KINDS)
+def test_block_weights_are_tensor_pairs(layer_kind):
+    model = Model(ModelConfig(h=8, d_ff=8, n_experts=3, n_layers=2, moduli=[3, 4], train_size=16,
+                          eval_size=16, layer_kind=layer_kind))
+    pairs = {"dense": ("ffn",), "moe": ("gate", "bank"), "moe_share": ("gate", "bank", "shared"),
+             "hypermoe": ("gate", "bank")}[layer_kind]
+    for i, blk in enumerate(model.blocks):
+        for key in pairs:
+            pair = blk[key]
+            assert type(pair) is tuple and len(pair) == 2 and all(type(w) is Tensor for w in pair), (i, key)

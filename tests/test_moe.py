@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypermoe import tensor as T
+from hypermoe.config import ModelConfig
 from hypermoe.errors import ContractError
+from hypermoe.model import Model
 from hypermoe.moe import (
-    GateConfig,
     GateDecision,
     expert_forward,
     load_balance_loss,
@@ -14,16 +15,25 @@ from hypermoe.moe import (
     moe_share_forward,
     noisy_topk_gate,
 )
+from hypermoe.tasks import generate_task_batch
 from hypermoe.tensor import Rng, Tape, Tensor
 
 from test_tensor import tmean
 
 
-def make_gate(h, n, k=1, noise=False, seed=0, w_gate=None):
+def make_gate(h, n, seed=0, w_gate=None):
+    """A (w_gate, w_noise) pair, each (h, n)."""
     rng = Rng(seed)
     wg = Tensor(w_gate if w_gate is not None else rng.gaussian(h, n), requires_grad=True)
     wn = Tensor(rng.gaussian(h, n), requires_grad=True)
-    return GateConfig(k, noise, wg, wn)
+    return wg, wn
+
+
+def tiny_model(layer_kind="moe", noise_enabled=True):
+    """A 2-layer model and a batch of 4 of its task's inputs."""
+    model = Model(ModelConfig(h=8, d_ff=8, n_experts=3, top_k=2, n_layers=2, moduli=[3, 4], train_size=16,
+                              eval_size=16, batch_size=4, layer_kind=layer_kind, noise_enabled=noise_enabled))
+    return model, generate_task_batch(model.task, Rng(0), 4)[0]
 
 
 def make_bank(h, d_ff, n, seed=1):
@@ -46,58 +56,62 @@ def decision_from_probs(probs, selected):
 class TestGate:
     def test_hand_softmax_and_argmax(self):
         # identity-ish input so logits equal [0.1, 0.7, 0.2]
-        cfg = make_gate(3, 3, w_gate=np.eye(3))
-        dec = noisy_topk_gate(Tensor([[0.1, 0.7, 0.2]]), cfg)
+        gate = make_gate(3, 3, w_gate=np.eye(3))
+        dec = noisy_topk_gate(Tensor([[0.1, 0.7, 0.2]]), gate, 1)
         assert dec.selected.tolist() == [[1]]
         assert np.allclose(dec.router_probs.data, [[0.25463, 0.46396, 0.28141]], atol=1e-4)
         assert abs(dec.gate_values.data[0, 0] - 0.46396) < 1e-4
 
     def test_tie_breaks_to_lowest_index(self):
-        cfg = make_gate(2, 4, w_gate=np.zeros((2, 4)))
-        dec = noisy_topk_gate(Tensor([[0.3, -0.7]]), cfg)
+        gate = make_gate(2, 4, w_gate=np.zeros((2, 4)))
+        dec = noisy_topk_gate(Tensor([[0.3, -0.7]]), gate, 1)
         assert dec.selected.tolist() == [[0]]
 
     def test_noise_deterministic_under_seed(self):
-        cfg = make_gate(4, 3, noise=True)
+        gate = make_gate(4, 3)
         x = Tensor(Rng(5).gaussian(6, 4))
-        d1 = noisy_topk_gate(x, cfg, rng=Rng(9), training=True)
-        d2 = noisy_topk_gate(x, cfg, rng=Rng(9), training=True)
+        d1 = noisy_topk_gate(x, gate, 1, rng=Rng(9))
+        d2 = noisy_topk_gate(x, gate, 1, rng=Rng(9))
         assert np.array_equal(d1.router_probs.data, d2.router_probs.data)
         assert np.array_equal(d1.selected, d2.selected)
 
     def test_noise_off_outside_training(self):
-        cfg = make_gate(4, 3, noise=True)
-        x = Tensor(Rng(5).gaussian(6, 4))
-        d1 = noisy_topk_gate(x, cfg, rng=Rng(1), training=False)
-        d2 = noisy_topk_gate(x, cfg, rng=Rng(2), training=False)
-        assert np.array_equal(d1.router_probs.data, d2.router_probs.data)
+        # Model.forward decides about noise: an inference forward ignores whatever rng it is handed
+        model, inputs = tiny_model()
+        r0, r1, r2 = (model.forward(inputs, noise_rng=rng) for rng in (None, Rng(1), Rng(2)))
+        assert np.array_equal(r1.outputs.data, r0.outputs.data)
+        assert np.array_equal(r2.outputs.data, r0.outputs.data)
+        for d0, d1, d2 in zip(r0.decisions, r1.decisions, r2.decisions):
+            assert np.array_equal(d1.router_probs.data, d0.router_probs.data)
+            assert np.array_equal(d2.router_probs.data, d0.router_probs.data)
 
     def test_training_noise_requires_rng(self):
-        cfg = make_gate(4, 3, noise=True)
-        with pytest.raises(ContractError):
-            noisy_topk_gate(Tensor(np.zeros((1, 4))), cfg, training=True)
+        model, inputs = tiny_model()
+        with pytest.raises(ContractError, match="requires an rng"):
+            model.forward(inputs, training=True)
+        # a dense model has no gate, and with noise off the gates draw nothing: neither needs an rng
+        for model, inputs in (tiny_model("dense"), tiny_model(noise_enabled=False)):
+            model.forward(inputs, training=True)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_mask_row_sums_equal_k(self, k):
-        cfg = make_gate(5, 4, k=k)
-        dec = noisy_topk_gate(Tensor(Rng(3).gaussian(20, 5)), cfg)
+        dec = noisy_topk_gate(Tensor(Rng(3).gaussian(20, 5)), make_gate(5, 4), k)
         assert np.all(dec.binary_mask.sum(axis=1) == k)
         assert np.max(np.abs(dec.router_probs.data.sum(axis=1) - 1.0)) < 1e-12
 
     def test_gate_values_match_probs_at_selected(self):
-        cfg = make_gate(5, 4, k=2)
-        dec = noisy_topk_gate(Tensor(Rng(3).gaussian(10, 5)), cfg)
+        dec = noisy_topk_gate(Tensor(Rng(3).gaussian(10, 5)), make_gate(5, 4), 2)
         rows = np.arange(10)[:, None]
         assert np.array_equal(dec.gate_values.data, dec.router_probs.data[rows, dec.selected])
 
     def test_argmax_invariant_under_logit_shift(self):
         h, n = 4, 3
-        cfg = make_gate(h, n)
+        gate = make_gate(h, n)
         x = Rng(8).gaussian(12, h)
-        d1 = noisy_topk_gate(Tensor(x), cfg)
+        d1 = noisy_topk_gate(Tensor(x), gate, 1)
         # adding a constant to all of a token's logits = adding c * ones to x @ W_g;
         # emulate by shifting logits directly through an all-ones gate column trick
-        logits = x @ cfg.w_gate.data
+        logits = x @ gate[0].data
         shifted = T.softmax(Tensor(logits + 3.7))
         assert np.array_equal(np.argmax(shifted.data, axis=1), d1.selected[:, 0])
 
@@ -107,7 +121,7 @@ class TestGate:
         # probabilities tie often and bit for bit
         logits = Rng(n).integers(0, 4, 300, n) / 4.0
         for k in range(1, n) if n <= 12 else (1, 2, 7, 30, 59):
-            dec = noisy_topk_gate(Tensor(logits), make_gate(n, n, k=k, w_gate=np.eye(n)))
+            dec = noisy_topk_gate(Tensor(logits), make_gate(n, n, w_gate=np.eye(n)), k)
             p = dec.router_probs.data
             want = np.argsort(-p, axis=1, kind="stable")[:, :k]
             assert np.array_equal(dec.selected, want), k
@@ -152,9 +166,9 @@ class TestMoeForward:
     def test_k2_matches_dense_oracle(self):
         h, d_ff, n, t = 4, 6, 3, 5
         bank = make_bank(h, d_ff, n)
-        cfg = make_gate(h, n, k=2)
+        gate = make_gate(h, n)
         x = Tensor(Rng(2).gaussian(t, h))
-        dec = noisy_topk_gate(x, cfg)
+        dec = noisy_topk_gate(x, gate, 2)
         out = moe_forward(x, bank, dec)
         # dense oracle: sum over all experts with non-selected probs zeroed
         dense = np.zeros((t, h))
@@ -183,13 +197,13 @@ class TestMoeForward:
 
     def test_gradients_flow_to_gate_and_experts(self):
         h, n = 4, 3
-        cfg = make_gate(h, n)
+        gate = make_gate(h, n)
         bank = make_bank(h, 6, n)
         x = Tensor(Rng(6).gaussian(5, h))
-        dec = noisy_topk_gate(x, cfg)
+        dec = noisy_topk_gate(x, gate, 1)
         loss = tmean(moe_forward(x, bank, dec)) + load_balance_loss(dec)
         loss.backward()
-        assert cfg.w_gate.grad is not None and np.any(cfg.w_gate.grad != 0)
+        assert gate[0].grad is not None and np.any(gate[0].grad != 0)
         selected_experts = set(dec.selected[:, 0].tolist())
         for e in selected_experts:
             assert np.any(bank[0].grad[e] != 0)
@@ -364,11 +378,11 @@ class TestLoadBalanceLoss:
             assert abs(load_balance_loss(decision_from_probs(uniform, sel)).item() - 1.0) < 1e-12
 
     def test_differentiable_through_probs(self):
-        cfg = make_gate(4, 3)
+        gate = make_gate(4, 3)
         x = Tensor(Rng(7).gaussian(6, 4))
-        dec = noisy_topk_gate(x, cfg)
+        dec = noisy_topk_gate(x, gate, 1)
         load_balance_loss(dec).backward()
-        assert cfg.w_gate.grad is not None
+        assert gate[0].grad is not None
 
 
 class TestMoeShare:
@@ -377,7 +391,7 @@ class TestMoeShare:
         bank = make_bank(h, 6, n)
         shared = (Tensor(Rng(9).gaussian(h, 6)), Tensor(np.zeros((6, h))))
         x = Tensor(Rng(10).gaussian(5, h))
-        dec = noisy_topk_gate(x, make_gate(h, n))
+        dec = noisy_topk_gate(x, make_gate(h, n), 1)
         assert np.array_equal(
             moe_share_forward(x, bank, shared, dec).data, moe_forward(x, bank, dec).data
         )
@@ -396,14 +410,14 @@ class TestMoeShare:
         rng = Rng(11)
         shared = (Tensor(rng.gaussian(h, 6)), Tensor(rng.gaussian(6, h)))
         x = Tensor(Rng(12).gaussian(5, h))
-        dec = noisy_topk_gate(x, make_gate(h, n))
+        dec = noisy_topk_gate(x, make_gate(h, n), 1)
         expected = moe_forward(x, bank, dec).data + expert_forward(x, shared).data
         assert np.max(np.abs(moe_share_forward(x, bank, shared, dec).data - expected)) < 1e-15
 
 
 def test_gate_pure_function_without_noise():
-    cfg = make_gate(4, 3, noise=False)
+    gate = make_gate(4, 3)
     x = Tensor(Rng(13).gaussian(7, 4))
-    d1 = noisy_topk_gate(x, cfg, training=True)
-    d2 = noisy_topk_gate(x, cfg, training=True)
+    d1 = noisy_topk_gate(x, gate, 1)
+    d2 = noisy_topk_gate(x, gate, 1)
     assert np.array_equal(d1.router_probs.data, d2.router_probs.data)
