@@ -62,8 +62,7 @@ def cmd_train(args) -> int:
     model = build_model(cfg)
     rows = train_model(model, metrics_path=os.path.join(args.out, "metrics.csv"))
     save_checkpoint(model, os.path.join(args.out, "checkpoint.bin"), step=cfg.steps)
-    ev = evaluate(model, cfg.eval_size)
-    metric = ev.get("accuracy", ev.get("mse"))
+    metric = evaluate(model, cfg.eval_size)[model.task.metric]
     print(
         f"train done: kind={cfg.layer_kind} steps={cfg.steps} "
         f"final_loss={rows[-1]['task_loss']:.6f} eval={metric:.6f}"
@@ -73,6 +72,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, step = load_checkpoint(args.checkpoint)
+    if args.n and args.n > model.cfg.eval_size:
+        raise ConfigurationError(f"--n {args.n} exceeds the checkpoint's eval_size {model.cfg.eval_size}")
     ev = evaluate(model, args.n or model.cfg.eval_size)
     print(json.dumps({"step": step, **ev}))
     return EXIT_OK
@@ -245,8 +246,7 @@ def run_compare(cfg_base: dict, methods: list[str], seeds: list[int]) -> list[di
             cfg = ModelConfig.from_dict(raw)
             model = build_model(cfg)
             train_model(model)
-            ev = evaluate(model, cfg.eval_size)
-            metric = ev.get("accuracy", ev.get("mse"))
+            metric = evaluate(model, cfg.eval_size)[model.task.metric]
             rows.append({"method": method, "seed": seed, "metric": metric})
     return rows
 

@@ -68,7 +68,7 @@ class Model:
         self._build()
         slots = 1 if cfg.layer_kind == "dense" else cfg.top_k
         generated = cfg.h * cfg.b if cfg.layer_kind == "hypermoe" else 0
-        width = max(slots * max(cfg.d_ff, cfg.h), cfg.n_experts, getattr(self.task, "num_classes", 1), generated)
+        width = max(slots * max(cfg.d_ff, cfg.h), cfg.n_experts, self.task.out_dim, generated)
         chunk = min(cfg.eval_size, EVAL_CHUNK)
         tokens = max(cfg.batch_size, chunk) * self.task.seq_len
         if tokens * width > MAX_ACTIVATION:
@@ -109,9 +109,8 @@ class Model:
         self.blocks += [self._build_block(i) for i in range(1, cfg.n_layers)]
         self.ln_f = (self._param("ln_f.g", (h,), 0.0), self._param("ln_f.b", (h,), 0.0))
         self.params["ln_f.g"].data[:] = 1.0
-        out_dim = self.task.num_classes if self.task.kind == "classification" else 1
-        self.head_w = self._param("head.w", (h, out_dim), 1.0 / np.sqrt(h))
-        self.head_b = self._param("head.b", (out_dim,), 0.0)
+        self.head_w = self._param("head.w", (h, self.task.out_dim), 1.0 / np.sqrt(h))
+        self.head_b = self._param("head.b", (self.task.out_dim,), 0.0)
         if cfg.layer_kind == "hypermoe":
             self._build_hyper()
         if cfg.layer_kind == "hypermoe" and cfg.embedding_source == "compressed":

@@ -1,8 +1,11 @@
 """Synthetic routing-sensitive tasks with disjoint train/eval pools.
 
-Both tasks enumerate (or pre-draw) their instance pool once from the task
+Both tasks enumerate (or pre-draw) their instance pools once from the task
 seed, shuffle, and split, so training and evaluation sets are disjoint and
 every batch is reproducible.
+
+Each task owns its head width ``out_dim``, its training ``loss``, the ``score`` whose sum
+``evaluate`` divides by the sample count to give ``metric``, and ``eval_set(lo, hi)``.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .config import ModelConfig
 from .errors import ConfigurationError
-from .tensor import Rng
+from .tensor import Rng, Tensor
 
 # Largest instance pool a task builds: n_groups * operand_range**2 triples that
 # GroupedModularAddition enumerates, about 80 bytes of index arrays each, so some
@@ -37,6 +41,7 @@ class GroupedModularAddition:
     eval_size: int
     operand_range: int | None = None
     kind: str = field(default="classification", init=False)
+    metric = "accuracy"
 
     def __post_init__(self) -> None:
         self.n_groups = len(self.moduli)
@@ -49,7 +54,7 @@ class GroupedModularAddition:
                 "to keep labels uniform per group"
             )
         self.vocab_size = self.n_groups + self.operand_range
-        self.num_classes = max(self.moduli)
+        self.out_dim = max(self.moduli)
         self.seq_len = 3
         space = self.n_groups * self.operand_range**2
         if space > MAX_INSTANCES:
@@ -83,8 +88,14 @@ class GroupedModularAddition:
         idx = rng.integers(0, self.train_size, batch)
         return self.encode(self._train[idx])
 
-    def eval_set(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.encode(self._eval[: min(n, self.eval_size)])
+    def eval_set(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.encode(self._eval[lo:hi])
+
+    def loss(self, outputs: Tensor, targets: np.ndarray) -> Tensor:
+        return T.softmax_cross_entropy(outputs, targets)
+
+    def score(self, outputs: np.ndarray, targets: np.ndarray) -> int:
+        return int((outputs.argmax(axis=1) == targets).sum())
 
 
 @dataclass
@@ -100,6 +111,8 @@ class PiecewiseRegression:
     train_size: int
     eval_size: int
     kind: str = field(default="regression", init=False)
+    metric = "mse"
+    out_dim = 1
 
     def __post_init__(self) -> None:
         if self.n_funcs > MAX_INSTANCES:
@@ -113,7 +126,8 @@ class PiecewiseRegression:
         self.knots = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         self.slopes = rng.gaussian(self.n_funcs, 4)
         self.offsets = rng.gaussian(self.n_funcs)
-        self._train_pool = self._pool("train")
+        self._train_pool = self._pool("train", self.train_size)
+        self._eval_pool = self._pool("eval", self.eval_size)
 
     def apply(self, func_ids: np.ndarray, xs: np.ndarray) -> np.ndarray:
         ys = self.offsets[func_ids].copy()
@@ -123,9 +137,8 @@ class PiecewiseRegression:
             ys += self.slopes[func_ids, seg] * span
         return ys
 
-    def _pool(self, which: str) -> tuple[np.ndarray, np.ndarray]:
+    def _pool(self, which: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         rng = Rng(self.seed).spawn(f"pool-{which}")
-        n = self.train_size if which == "train" else self.eval_size
         ids = rng.integers(0, self.n_funcs, n)
         xs = rng.uniform(n, low=-2.0, high=2.0)
         return ids.astype(np.int64), xs
@@ -135,10 +148,16 @@ class PiecewiseRegression:
         pick = rng.integers(0, self.train_size, batch)
         return (ids[pick], xs[pick]), self.apply(ids[pick], xs[pick])
 
-    def eval_set(self, n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        ids, xs = self._pool("eval")
-        ids, xs = ids[:n], xs[:n]
+    def eval_set(self, lo: int, hi: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        ids, xs = self._eval_pool[0][lo:hi], self._eval_pool[1][lo:hi]
         return (ids, xs), self.apply(ids, xs)
+
+    def loss(self, outputs: Tensor, targets: np.ndarray) -> Tensor:
+        return T.mse(outputs, targets[:, None])
+
+    def score(self, outputs: np.ndarray, targets: np.ndarray) -> float:
+        diff = outputs[:, 0] - targets
+        return float((diff * diff).sum())
 
 
 SyntheticTask = GroupedModularAddition | PiecewiseRegression

@@ -76,12 +76,6 @@ class Adam:
                 w -= s
 
 
-def task_loss(result: ForwardResult, targets, kind: str) -> Tensor:
-    if kind == "classification":
-        return T.softmax_cross_entropy(result.outputs, targets)
-    return T.mse(result.outputs, np.asarray(targets)[:, None])
-
-
 def utilization_histogram(result: ForwardResult, n_experts: int) -> np.ndarray:
     """Token-to-expert assignment counts summed over MoE layers."""
     hist = np.zeros(n_experts)
@@ -101,7 +95,7 @@ def utilization_entropy(hist: np.ndarray) -> float:
 def combined_loss(result: ForwardResult, targets, task: SyntheticTask, cfg: ModelConfig) -> tuple[Tensor, float, float]:
     """Total loss plus (task, aux) scalars for logging; the aux loss is the mean of each
     MoE layer's load-balance loss, built here from ``result.decisions``."""
-    base = task_loss(result, targets, task.kind)
+    base = task.loss(result.outputs, targets)
     balance = [load_balance_loss(d) for d in result.decisions]
     if balance and cfg.aux_loss_coef > 0:
         aux = sum(balance[1:], balance[0]) * (1.0 / len(balance))
@@ -169,31 +163,18 @@ def write_metrics_csv(path: str, rows: list[dict]) -> None:
 
 
 def evaluate(model: Model, n: int) -> dict:
-    """Deterministic (noise-free) metrics over n fresh eval samples."""
+    """Deterministic (noise-free) metrics over the first n eval samples, at most eval_size, in
+    chunks of EVAL_CHUNK (Model's activation bound covers one); the task scores each chunk."""
     task = model.task
-    inputs, targets = task.eval_set(n)
     n_experts = model.cfg.n_experts
     hist = np.zeros(n_experts)
-    correct = 0
-    sq_err = 0.0
-    total = len(targets)  # at most eval_size: Model's activation bound covers each chunk
+    score = 0
+    total = min(n, model.cfg.eval_size)
     for lo in range(0, total, EVAL_CHUNK):
-        hi = min(lo + EVAL_CHUNK, total)
-        batch_inputs = (
-            inputs[lo:hi] if task.kind == "classification" else (inputs[0][lo:hi], inputs[1][lo:hi])
-        )
+        inputs, targets = task.eval_set(lo, min(lo + EVAL_CHUNK, total))
         with Tape(), T.no_grad():  # the Tape stays for observers that count its (zero) records
-            result = model.forward(batch_inputs, training=False)
+            result = model.forward(inputs, training=False)
         hist += utilization_histogram(result, n_experts)
-        if task.kind == "classification":
-            preds = result.outputs.data.argmax(axis=1)
-            correct += int((preds == targets[lo:hi]).sum())
-        else:
-            diff = result.outputs.data[:, 0] - targets[lo:hi]
-            sq_err += float((diff * diff).sum())
-    metrics = {"n": total, "utilization": hist.tolist(), "util_entropy": utilization_entropy(hist)}
-    if task.kind == "classification":
-        metrics["accuracy"] = correct / total
-    else:
-        metrics["mse"] = sq_err / total
-    return metrics
+        score += task.score(result.outputs.data, targets)
+    return {"n": total, "utilization": hist.tolist(), "util_entropy": utilization_entropy(hist),
+            task.metric: score / total}

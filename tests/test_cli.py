@@ -159,6 +159,15 @@ class TestEvalCommand:
         assert report["step"] == TINY["steps"]
         assert 0.0 <= report["accuracy"] <= 1.0
 
+    def test_n_above_eval_size_exit_2_names_both(self, one_layer_checkpoint, capsys):
+        eval_size = TINY["eval_size"]
+        assert main(["eval", "--checkpoint", one_layer_checkpoint, "--n", str(eval_size + 1)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert f"--n {eval_size + 1}" in err and f"eval_size {eval_size}" in err
+        assert main(["eval", "--checkpoint", one_layer_checkpoint, "--n", str(eval_size)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n"] == eval_size
+
     def test_corrupt_checkpoint_exit_4(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "run")
         main(["train", "--config", config_path, "--out", out])
@@ -375,6 +384,25 @@ class TestCompareCommand:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert str(path) in err
+
+
+class TestRegressionTask:
+    """The commands on a piecewise_regression config, whose metric is the mean squared error."""
+
+    def test_train_eval_and_compare(self, tmp_path, capsys):
+        path = write_config(tmp_path, task="piecewise_regression")
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", path, "--out", out]) == EXIT_OK
+        assert "train done" in capsys.readouterr().out
+        assert main(["eval", "--checkpoint", os.path.join(out, "checkpoint.bin")]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert "accuracy" not in report and report["mse"] >= 0 and report["n"] == TINY["eval_size"]
+        assert main(["compare", "--config", path, "--methods", "hypermoe", "--seeds", "0"]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        method, seed, metric = lines[1].split(",")
+        model = build_model(ModelConfig(**{**TINY, "task": "piecewise_regression", "layer_kind": "hypermoe"}))
+        train_model(model)
+        assert (method, seed, float(metric)) == ("hypermoe", "0", evaluate(model, TINY["eval_size"])["mse"])
 
 
 @pytest.mark.parametrize("command", ["compare", "bench"])

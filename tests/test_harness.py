@@ -20,13 +20,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypermoe import checkpoint, training
+from hypermoe import checkpoint, tasks, training
 from hypermoe import tensor as T
 from hypermoe.checkpoint import MAGIC, REQUIRED_KEYS, load_checkpoint, save_checkpoint
 from hypermoe.cli import EXIT_CONFIG, EXIT_INTEGRITY, main
 from hypermoe.config import EMBEDDING_SOURCES, FIELD_RULES, LAYER_KINDS, TASKS, ModelConfig
 from hypermoe.errors import ConfigurationError, IntegrityError
-from hypermoe.model import build_model
+from hypermoe.model import EVAL_CHUNK, build_model
 from hypermoe.moe import load_balance_loss
 from hypermoe.tasks import GroupedModularAddition, build_task, generate_task_batch
 from hypermoe.tensor import Rng, Tensor
@@ -236,6 +236,76 @@ class TestGroupedModularAddition:
         assert build_task(tiny_cfg(task="piecewise_regression")).kind == "regression"
 
 
+def _arrays(inputs) -> tuple:
+    """A task's inputs as a tuple of arrays: the tokens, or the prefix ids and the scalars."""
+    return inputs if isinstance(inputs, tuple) else (inputs,)
+
+
+def _old_task_loss(outputs, targets, kind):
+    """The training loss as it was computed before each task owned its loss: the oracle."""
+    if kind == "classification":
+        return T.softmax_cross_entropy(outputs, targets)
+    return T.mse(outputs, np.asarray(targets)[:, None])
+
+
+class TestTaskContract:
+    """Each task says how outputs are shaped, trained and scored; these pin that contract to
+    the arithmetic ``training`` did itself before, branching on the task kind."""
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_eval_chunks_join_to_the_whole_set(self, task):
+        t = build_task(tiny_cfg(task=task, eval_size=40))
+        whole_inputs, whole_targets = t.eval_set(0, 40)
+        chunks = [t.eval_set(lo, min(lo + 16, 40)) for lo in range(0, 40, 16)]
+        joined = [np.concatenate(parts) for parts in zip(*(_arrays(c[0]) for c in chunks))]
+        assert [a.tobytes() for a in joined] == [a.tobytes() for a in _arrays(whole_inputs)]
+        assert np.concatenate([c[1] for c in chunks]).tobytes() == whole_targets.tobytes()
+        assert len(whole_targets) == 40
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_loss_is_the_old_formula_bit_for_bit(self, task):
+        model = build_model(tiny_cfg(task=task, layer_kind="moe"))
+        inputs, targets = generate_task_batch(model.task, Rng(5), 16)
+        with T.no_grad():
+            outputs = model.forward(inputs, training=False).outputs.data
+        grads = []
+        for loss in (model.task.loss, lambda o, t: _old_task_loss(o, t, model.task.kind)):
+            x = Tensor(outputs.copy(), requires_grad=True)
+            value = loss(x, targets)
+            value.backward()
+            grads.append((value.data.tobytes(), x.grad.tobytes()))
+        assert grads[0] == grads[1]
+        assert model.task.out_dim == outputs.shape[1]
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_summed_scores_are_the_old_evaluate_arithmetic(self, task):
+        model = build_model(tiny_cfg(task=task, layer_kind="hypermoe", eval_size=600, operand_range=24))
+        n = 600  # two chunks
+        inputs, targets = model.task.eval_set(0, n)
+        correct, sq_err, score = 0, 0.0, 0
+        for lo in range(0, n, EVAL_CHUNK):
+            hi = min(lo + EVAL_CHUNK, n)
+            chunk = tuple(a[lo:hi] for a in _arrays(inputs))
+            with T.no_grad():
+                outputs = model.forward(chunk if len(chunk) == 2 else chunk[0], training=False).outputs.data
+            preds = outputs.argmax(axis=1)
+            correct += int((preds == targets[lo:hi]).sum())
+            diff = outputs[:, 0] - targets[lo:hi]
+            sq_err += float((diff * diff).sum())
+            score += model.task.score(outputs, targets[lo:hi])
+        old = {"classification": ("accuracy", correct / n), "regression": ("mse", sq_err / n)}[model.task.kind]
+        assert (model.task.metric, score / n) == old
+        assert evaluate(model, n)[model.task.metric] == old[1]
+
+    def test_regression_eval_set_reads_the_pool_it_drew_at_build(self, monkeypatch):
+        t = build_task(tiny_cfg(task="piecewise_regression"))
+        monkeypatch.setattr(tasks, "Rng", lambda *a: pytest.fail("eval_set drew again"))
+        (ids_a, xs_a), ys_a = t.eval_set(0, 32)
+        (ids_b, xs_b), ys_b = t.eval_set(0, 32)
+        assert np.shares_memory(ids_a, ids_b) and np.shares_memory(xs_a, xs_b)
+        assert ys_a.tobytes() == ys_b.tobytes()
+
+
 class TestTraining:
     def test_zero_aux_coef_total_equals_task(self):
         model = build_model(tiny_cfg(layer_kind="moe", aux_loss_coef=0.0, steps=5))
@@ -339,7 +409,7 @@ class TestEvaluate:
     def test_utilization_sums_to_layers_times_k_times_tokens(self):
         cfg = tiny_cfg(layer_kind="moe", top_k=2, n_layers=3)
         model = build_model(cfg)
-        inputs, _ = model.task.eval_set(16)
+        inputs, _ = model.task.eval_set(0, 16)
         result = model.forward(inputs)
         hist = utilization_histogram(result, cfg.n_experts)
         assert hist.sum() == 3 * 2 * 16 * model.task.seq_len
@@ -365,7 +435,7 @@ class TestEvaluate:
         script = textwrap.dedent("""
             import resource
             from hypermoe.config import ModelConfig
-            from hypermoe.model import build_model
+            from hypermoe.model import EVAL_CHUNK, build_model
             from hypermoe.training import evaluate
             model = build_model(ModelConfig(
                 layer_kind="hypermoe", h=32, d_ff=64, n_experts=4, top_k=1, n_layers=2, b=4, batch_size=64,
@@ -519,7 +589,7 @@ class TestModelScaleZeroGenerator:
         m, hm = build_model(cfg_m), build_model(cfg_h)
         hm.params["hyper.w_down"].data[:] = 0.0
         hm.params["hyper.w_up"].data[:] = 0.0
-        inputs, _ = m.task.eval_set(24)
+        inputs, _ = m.task.eval_set(0, 24)
         out_m = m.forward(inputs).outputs.data
         out_h = hm.forward(inputs).outputs.data
         assert np.array_equal(out_m, out_h)

@@ -17,6 +17,10 @@ projector and generator are plain tensors and tuples, as the expert banks are.
 ``moe.py`` defines one, ``GateDecision``, a gate call's routing result; every
 weight pair a block holds (its gate, bank, shared FFN or dense FFN) is a plain
 tuple of two tensors.
+
+``training.py`` and ``cli.py`` name no task kind or metric: each task in
+``tasks.py`` says how its outputs are shaped, trained and scored, and
+``Model`` alone reads the kind, for its scalar input.
 """
 
 import ast
@@ -99,6 +103,17 @@ def test_hyper_defines_no_class():
     classes = [f"hyper.py:{node.lineno} {node.name}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.ClassDef)]
     assert not classes, "classes that wrap HyperExpert parameters, which stay plain tuples: " + ", ".join(classes)
+
+
+def test_task_kind_stays_behind_the_task():
+    """Each task says how its outputs are shaped, trained and scored, so neither the training loop
+    nor the CLI spells a task kind or metric; ``Model`` alone reads the kind, for its scalar input."""
+    spelled = re.compile(r"\b(?:classification|regression|accuracy|mse)\b|\.kind\b")
+    offenders = [f"{name}:{lineno} {match.group()}"
+                 for name in ("training.py", "cli.py")
+                 for lineno, line in enumerate((PACKAGE / name).read_text(encoding="utf-8").splitlines(), 1)
+                 for match in spelled.finditer(line)]
+    assert not offenders, "task kinds or metrics named outside tasks.py: " + ", ".join(offenders)
 
 
 def test_moe_defines_only_the_gate_decision():

@@ -524,7 +524,7 @@ class TestTape:
             moduli=[3, 4], train_size=64, eval_size=32, batch_size=16,
         )
         model = build_model(cfg)
-        inputs, _ = model.task.eval_set(16)
+        inputs, _ = model.task.eval_set(0, 16)
         for _ in range(5):
             model.forward(inputs)
         assert len(T._TLS.stack[0].records) == 0
