@@ -1,16 +1,22 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every differentiable operation links its output to its inputs (``_parents``)
-and a rule ``back(g)`` that captures the inputs, never the output, so a graph
-is no reference cycle and is freed by refcount. ``backward`` runs the rules of
-the nodes reachable from the loss in reverse topological order, and a graph
-is single-use: each op node drops its gradient, its rule and its parents as
-soon as its rule has run, so only leaves keep a gradient, and a second
-``backward`` through the graph raises ``ContractError``. A gradient enters a
-tensor only through ``accumulate_grad`` and is never written into, so a rule
-may hand on its ``g``, views of it, or one array to several inputs.
+The autodiff graph is kept apart from the tensor data. A differentiable
+operation gives its output a ``Node``: the output's gradient, a rule and the
+nodes of its parents, and no array. A leaf that requires a gradient is its own
+node; an input that needs no gradient is a ``None`` parent. A rule is called as
+``rule(g, *parents)`` and captures only the arrays it reads (say, the other
+operand of a ``mul``), never a ``Tensor``, so an op output's ``data`` is held by
+its caller and by the rules that read it, and is freed in the forward as soon
+as the caller drops it. No node refers to its child, so a graph is no reference
+cycle and is freed by refcount. ``backward`` runs the rules of the nodes
+reachable from the loss in reverse topological order, and a graph is
+single-use: each node drops its gradient, its rule and its parents as soon as
+its rule has run, so only leaves keep a gradient, and a second ``backward``
+through the graph raises ``ContractError``. A gradient enters a node only
+through ``accumulate_grad`` and is never written into, so a rule may hand on
+its ``g``, views of it, or one array to several parents.
 Under ``no_grad()`` ops link nothing. An open ``Tape`` only observes: it lists
-the ops that link a graph inside it, and ``backward`` never reads it. Only the
+the nodes linked inside it, and ``backward`` never reads it. Only the
 broadcasting the rest of the package needs is supported: one ``index`` op
 serves every gather and slice, and ``matmul`` runs a 2-D right operand (a
 weight) as one GEMM over the flattened rows and batches only 3-D @ 3-D.
@@ -50,15 +56,16 @@ if _mallopt is not None:  # not glibc: the allocator is left as it is
 
 
 class Tape:
-    """Observer listing the differentiable ops run while it is the innermost open Tape.
+    """Observer listing the graph nodes linked while it is the innermost open Tape.
 
-    Execution order is a topological order by construction: an op's inputs
-    are always recorded before the op itself. The records keep every op
-    output, and its data, alive until the Tape is dropped.
+    Execution order is a topological order by construction: an op's parents
+    are always recorded before the op itself. The records hold nodes, not op
+    outputs, so a Tape keeps no output's data alive; a node keeps its rule's
+    arrays only until ``backward`` consumes it.
     """
 
     def __init__(self) -> None:
-        self.records: list["Tensor"] = []
+        self.records: list["Node"] = []
 
     def __enter__(self) -> "Tape":
         _TLS.stack.append(self)
@@ -89,17 +96,22 @@ def no_grad():
 
 
 class Tensor:
-    """Row-major float64 n-d array with an optional accumulated gradient."""
+    """Row-major float64 n-d array with an optional accumulated gradient.
 
-    __slots__ = ("data", "grad", "grad_rows", "requires_grad", "_parents", "_backward")
+    An op output's graph side is its ``node``, None when the op linked no graph. A leaf that
+    requires a gradient is its own node: it keeps ``grad`` and ``grad_rows``, and has no rule
+    and no parents."""
+
+    __slots__ = ("data", "grad", "grad_rows", "requires_grad", "node")
+    rule = None
+    parents = ()
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.grad_rows: Array | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple["Tensor", ...] = ()
-        self._backward: Callable[[Array], None] | None = None
+        self.node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -145,18 +157,39 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class Node:
+    """The graph side of an op output: its gradient, its rule ``rule(g, *parents)`` and its
+    ``parents`` (a node, a leaf, or None for an input that needs no gradient), and no array."""
+
+    __slots__ = ("grad", "rule", "parents")
+
+    def accumulate_grad(self, g: Array, rows: Array | None = None) -> None:
+        """Add ``g`` into ``grad`` out of place, as ``Tensor.accumulate_grad`` does; only a
+        leaf's optimizer reads ``rows``."""
+        self.grad = g if self.grad is None else self.grad + g
+
+
+Parent = Node | Tensor | None  # what a rule receives for each input
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable[[Array], None]) -> Tensor:
-    """Outside ``no_grad``, link ``out`` to its parents with a backward rule; the innermost open Tape lists it."""
-    if _TLS.grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+def _record(out: Tensor, inputs: Sequence[Tensor], rule: Callable[..., None]) -> Tensor:
+    """Outside ``no_grad``, when an input needs a gradient, give ``out`` a node with ``rule``
+    over the inputs' nodes; the innermost open Tape lists it."""
+    if not _TLS.grad_enabled:
+        return out
+    parents = []
+    for t in inputs:
+        parents.append(t.node or (t if t.requires_grad else None))
+    if any(parents):
+        node = Node()
+        node.grad, node.rule, node.parents = None, rule, parents
+        out.requires_grad, out.node = True, node
         if len(_TLS.stack) > 1:  # the bottom entry stands for "no Tape open" and stays empty
-            _TLS.stack[-1].records.append(out)
+            _TLS.stack[-1].records.append(node)
     return out
 
 
@@ -170,8 +203,8 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
-def _consumed(g: Array | None = None) -> None:
-    """The rule an op node keeps once its own has run in a ``backward``: a graph is single-use."""
+def _consumed(*_) -> None:
+    """The rule a node keeps once its own has run in a ``backward``: a graph is single-use."""
     raise ContractError("backward through a graph that was already consumed; build a new graph")
 
 
@@ -179,7 +212,7 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf reachable from a scalar loss, consuming the graph.
 
     An iterative depth-first post-order walk (no recursion limit) sorts the
-    op nodes reachable through ``_parents``; leaves have no rule and are never
+    nodes reachable through ``parents``; leaves have no parents and are never
     pushed. Each node's rule runs once, in reverse order, and the node then
     drops its gradient, rule and parents, which frees what the rule captured.
     A graph that reaches a consumed node raises ``ContractError`` before any
@@ -187,32 +220,35 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar, got shape {loss.shape}")
-    if loss._backward is _consumed:
+    root = loss.node or loss
+    if root.rule is _consumed:
         _consumed()
 
-    order: list[Tensor] = []
-    visited = {id(loss)}
-    stack = [(loss, iter(loss._parents))]
+    order: list[Node | Tensor] = []
+    visited = {id(root)}
+    stack = [(root, iter(root.parents))]
     while stack:
         node, parents = stack[-1]
         for p in parents:
-            if p._parents:
+            if p is None:
+                continue
+            if p.parents:
                 if id(p) not in visited:
                     visited.add(id(p))
-                    stack.append((p, iter(p._parents)))
+                    stack.append((p, iter(p.parents)))
                     break
-            elif p._backward is _consumed:
+            elif p.rule is _consumed:
                 _consumed()
         else:
             stack.pop()
             order.append(node)
 
-    loss.accumulate_grad(np.ones_like(loss.data))
+    root.accumulate_grad(np.ones_like(loss.data))
     while order:
         node = order.pop()
-        if node._backward is not None:
-            node._backward(node.grad)
-            node.grad, node._backward, node._parents = None, _consumed, ()
+        if node.rule is not None:
+            node.rule(node.grad, *node.parents)
+            node.grad, node.rule, node.parents = None, _consumed, ()
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +260,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data + b.data)
     except ValueError:
         raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
+    a_shape, b_shape = a.data.shape, b.data.shape
 
-    def back(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+    def back(g: Array, a: Parent, b: Parent) -> None:
+        if a is not None:
+            a.accumulate_grad(_unbroadcast(g, a_shape))
+        if b is not None:
+            b.accumulate_grad(_unbroadcast(g, b_shape))
 
     return _record(out, (a, b), back)
 
@@ -239,31 +276,35 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data * b.data)
     except ValueError:
         raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # each side's gradient reads the other side's data, kept only when that gradient is taken
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
-    def back(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+    def back(g: Array, a: Parent, b: Parent) -> None:
+        if a is not None:
+            a.accumulate_grad(_unbroadcast(g * bd, a_shape))
+        if b is not None:
+            b.accumulate_grad(_unbroadcast(g * ad, b_shape))
 
     return _record(out, (a, b), back)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
+    y = np.maximum(x.data, 0.0)
 
-    def back(g: Array) -> None:
-        # subgradient at 0 is 0
-        x.accumulate_grad(g * (x.data > 0.0))
+    def back(g: Array, x: Parent) -> None:
+        # subgradient at 0 is 0; the output is positive exactly where the input is
+        x.accumulate_grad(g * (y > 0.0))
 
-    return _record(out, (x,), back)
+    return _record(Tensor(y), (x,), back)
 
 
 def softplus(x: Tensor) -> Tensor:
     d = x.data
     out = Tensor(np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d))))
 
-    def back(g: Array) -> None:
+    def back(g: Array, x: Parent) -> None:
         sig = np.empty_like(d)
         pos = d >= 0
         sig[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
@@ -284,36 +325,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     multiplies batch by batch, and broadcast axes sum in its gradient."""
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    if b.data.ndim == 2:
-        a2 = a.data.reshape(-1, a.shape[-1])
-        out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],)))
+    ad, bd = a.data, b.data
+    a_shape, b_shape = ad.shape, bd.shape
+    if bd.ndim == 2:
+        a2 = ad.reshape(-1, a_shape[-1])
+        out = Tensor((a2 @ bd).reshape(a_shape[:-1] + (b_shape[1],)))
 
-        def back(g: Array) -> None:
-            g2 = g.reshape(-1, b.shape[1])
-            if a.requires_grad:
-                a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
+        def back(g: Array, a: Parent, b: Parent) -> None:
+            g2 = g.reshape(-1, b_shape[1])
+            if a is not None:
+                a.accumulate_grad((g2 @ bd.T).reshape(a_shape))
+            if b is not None:
                 b.accumulate_grad(a2.T @ g2)
 
         return _record(out, (a, b), back)
-    out = Tensor(np.matmul(a.data, b.data))
+    out = Tensor(np.matmul(ad, bd))
 
-    def back(g: Array) -> None:
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
+    def back(g: Array, a: Parent, b: Parent) -> None:
+        if a is not None:
+            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+            a.accumulate_grad(_unbroadcast(ga, a_shape))
+        if b is not None:
+            gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+            b.accumulate_grad(_unbroadcast(gb, b_shape))
 
     return _record(out, (a, b), back)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     out = Tensor(x.data.reshape(shape))
+    x_shape = x.data.shape
 
-    def back(g: Array) -> None:
-        x.accumulate_grad(g.reshape(x.shape))
+    def back(g: Array, x: Parent) -> None:
+        x.accumulate_grad(g.reshape(x_shape))
 
     return _record(out, (x,), back)
 
@@ -321,7 +365,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 def transpose_last2(x: Tensor) -> Tensor:
     out = Tensor(np.swapaxes(x.data, -1, -2))
 
-    def back(g: Array) -> None:
+    def back(g: Array, x: Parent) -> None:
         x.accumulate_grad(np.swapaxes(g, -1, -2))
 
     return _record(out, (x,), back)
@@ -331,16 +375,16 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     widths = [p.shape[axis] for p in parts]
 
-    def back(g: Array) -> None:
+    def back(g: Array, *parents: Parent) -> None:
         offset = 0
-        for p, w in zip(parts, widths):
+        for p, w in zip(parents, widths):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offset, offset + w)
-            if p.requires_grad:
+            if p is not None:
                 p.accumulate_grad(g[tuple(sl)])
             offset += w
 
-    return _record(out, tuple(parts), back)
+    return _record(out, parts, back)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +404,10 @@ def index(x: Tensor, key) -> Tensor:
     output never shares memory with ``x``: only a result that is a view is copied."""
     data = x.data[key]
     out = Tensor(data.copy() if np.may_share_memory(data, x.data) else data)
+    x_shape = x.data.shape
 
-    def back(g: Array) -> None:
-        x.accumulate_grad(_scatter_add(x.shape, key, g))
+    def back(g: Array, x: Parent) -> None:
+        x.accumulate_grad(_scatter_add(x_shape, key, g))
 
     return _record(out, (x,), back)
 
@@ -416,24 +461,24 @@ def routed_experts(x: Tensor, w1: Tensor, w2: Tensor, selected: Array, gates: Te
     stacks W1 (N, h, d_ff) and W2 (N, d_ff, h); the T*K slots run grouped by expert. An expert no
     slot selects is not run, and the stacks' ``grad_rows`` leave its row out."""
     n, k = selected.shape
-    w1d, w2d = w1.data, w2.data
+    gd, w1d, w2d = gates.data, w1.data, w2.data
     y, state = _grouped_ffn(x.data, selected.reshape(-1), k, w1d, w2d)
     y = y.reshape(n, k, -1)
     if k == 1:  # exactly the 1x1 GEMV, without one BLAS call per token
-        out = Tensor(gates.data * y[:, 0])
+        out = Tensor(gd * y[:, 0])
     else:  # OpenBLAS's GEMV uses FMA, which no numpy multiply-add matches
-        out = Tensor(np.matmul(gates.data[:, None, :], y)[:, 0])
+        out = Tensor(np.matmul(gd[:, None, :], y)[:, 0])
 
-    def back(g: Array) -> None:
-        if gates.requires_grad:
+    def back(g: Array, x: Parent, gates: Parent, w1: Parent, w2: Parent) -> None:
+        if gates is not None:
             gates.accumulate_grad(np.einsum("th,tkh->tk", g, y))
-        gy = (gates.data[:, :, None] * g[:, None, :]).reshape(n * k, -1)
+        gy = (gd[:, :, None] * g[:, None, :]).reshape(n * k, -1)
         dx, dw1, dw2 = _grouped_ffn_back(gy, k, state, w1d, w2d)
-        if x.requires_grad:
+        if x is not None:
             x.accumulate_grad(dx)
         used = np.array([u for u, _, _ in state[1]])
         for w, d in ((w1, dw1), (w2, dw2)):
-            if w.requires_grad:
+            if w is not None:
                 w.accumulate_grad(d, used)
 
     return _record(out, (x, gates, w1, w2), back)
@@ -447,23 +492,24 @@ def generated_expert(x: Tensor, codes: Tensor, groups: Array, w_down: Tensor, w_
     group, and the tokens run grouped.
     """
     n_groups, h = codes.shape[0], x.shape[-1]
-    b = w_down.shape[0] // h
-    down = (codes.data @ w_down.data.T).reshape(n_groups, h, b)
-    up = (codes.data @ w_up.data.T).reshape(n_groups, b, h)
+    cd, wdd, wud = codes.data, w_down.data, w_up.data
+    b = wdd.shape[0] // h
+    down = (cd @ wdd.T).reshape(n_groups, h, b)
+    up = (cd @ wud.T).reshape(n_groups, b, h)
     y, state = _grouped_ffn(x.data, groups, 1, down, up)
     out = Tensor(y)
 
-    def back(g: Array) -> None:
+    def back(g: Array, x: Parent, codes: Parent, w_down: Parent, w_up: Parent) -> None:
         dx, d_down, d_up = _grouped_ffn_back(g, 1, state, down, up)
         d_down, d_up = d_down.reshape(n_groups, h * b), d_up.reshape(n_groups, b * h)
-        if x.requires_grad:
+        if x is not None:
             x.accumulate_grad(dx)
-        if codes.requires_grad:
-            codes.accumulate_grad(d_down @ w_down.data + d_up @ w_up.data)
-        if w_down.requires_grad:
-            w_down.accumulate_grad(d_down.T @ codes.data)
-        if w_up.requires_grad:
-            w_up.accumulate_grad(d_up.T @ codes.data)
+        if codes is not None:
+            codes.accumulate_grad(d_down @ wdd + d_up @ wud)
+        if w_down is not None:
+            w_down.accumulate_grad(d_down.T @ cd)
+        if w_up is not None:
+            w_up.accumulate_grad(d_up.T @ cd)
 
     return _record(out, (x, codes, w_down, w_up), back)
 
@@ -506,29 +552,30 @@ def softmax(x: Tensor) -> Tensor:
     order, so the values are bit for bit those of the row form. Output and gradient are
     C-contiguous, which keeps a batched matmul that reads them on the same BLAS path.
     """
-    c = x.shape[-1]
+    shape, c = x.shape, x.shape[-1]
     if c == 0:
         raise DimensionError("softmax: empty last axis")
     t = x.data.reshape(-1, c).T.copy()
     t -= t.max(axis=0)
     np.exp(t, out=t)
     t /= _column_sum(t)
-    out = Tensor(t.T.copy().reshape(x.shape))
+    out = Tensor(t.T.copy().reshape(shape))
 
-    def back(g: Array) -> None:
+    def back(g: Array, x: Parent) -> None:
         gt = g.reshape(-1, c).T.copy()
         gt -= _column_sum(gt * t)
         gt *= t
-        x.accumulate_grad(gt.T.copy().reshape(x.shape))
+        x.accumulate_grad(gt.T.copy().reshape(shape))
 
     return _record(out, (x,), back)
 
 
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     out = Tensor(x.data.sum(axis=axis, keepdims=axis is not None))
+    x_shape = x.data.shape
 
-    def back(g: Array) -> None:
-        x.accumulate_grad(np.broadcast_to(g, x.shape))
+    def back(g: Array, x: Parent) -> None:
+        x.accumulate_grad(np.broadcast_to(g, x_shape))
 
     return _record(out, (x,), back)
 
@@ -539,10 +586,11 @@ def mse(pred: Tensor, target: Array) -> Tensor:
     if pred.shape != target.shape:
         raise DimensionError(f"mse: incompatible shapes {pred.shape} and {target.shape}")
     diff = pred.data - target
+    size = diff.size
     out = Tensor(np.mean(diff * diff))
 
-    def back(g: Array) -> None:
-        pred.accumulate_grad(g * 2.0 * diff / pred.size)
+    def back(g: Array, pred: Parent) -> None:
+        pred.accumulate_grad(g * 2.0 * diff / size)
 
     return _record(out, (pred,), back)
 
@@ -559,7 +607,7 @@ def softmax_cross_entropy(logits: Tensor, targets: Array) -> Tensor:
     logz = np.log(np.exp(shifted).sum(axis=-1))
     out = Tensor(np.mean(logz - shifted[np.arange(n), targets]))
 
-    def back(g: Array) -> None:
+    def back(g: Array, logits: Parent) -> None:
         p = np.exp(shifted)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(n), targets] -= 1.0
@@ -573,18 +621,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     (32 and more in the benchmark's configs), where numpy's row reduction beats a transposed pass
     (see ``softmax``); each mean is that sum divided by h, as ``.mean`` does, without its wrapper."""
     h = x.shape[-1]
+    gd, gain_shape, bias_shape = gain.data, gain.data.shape, bias.data.shape
     xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / h
     inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / h + eps)
     xhat *= inv
-    out = Tensor(xhat * gain.data + bias.data)
+    out = Tensor(xhat * gd + bias.data)
 
-    def back(g: Array) -> None:
-        if gain.requires_grad:
-            gain.accumulate_grad(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.shape))
-        if x.requires_grad:
-            dxhat = g * gain.data
+    def back(g: Array, x: Parent, gain: Parent, bias: Parent) -> None:
+        if gain is not None:
+            gain.accumulate_grad(_unbroadcast(g * xhat, gain_shape))
+        if bias is not None:
+            bias.accumulate_grad(_unbroadcast(g, bias_shape))
+        if x is not None:
+            dxhat = g * gd
             m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / h
             dxhat -= np.add.reduce(dxhat, axis=-1, keepdims=True) / h
             dxhat -= xhat * m2

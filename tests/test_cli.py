@@ -278,12 +278,13 @@ class TestGradcheckCommand:
 
         def broken_routed_experts(*args):
             out = saved(*args)
-            bk = out._backward
-            if bk is not None:
-                def corrupted(g):
-                    bk(g * 1.05)
+            if out.node is not None:
+                rule = out.node.rule
 
-                out._backward = corrupted
+                def corrupted(g, *parents):
+                    rule(g * 1.05, *parents)
+
+                out.node.rule = corrupted
             return out
 
         tensor_mod.routed_experts = broken_routed_experts

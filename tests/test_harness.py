@@ -476,7 +476,9 @@ class TestEvaluate:
         forward = model.forward
         monkeypatch.setattr(model, "forward", lambda *a, **kw: outputs.append(forward(*a, **kw)) or outputs[-1])
         evaluate(model, 32)
-        assert outputs and all(r.outputs._parents == () for r in outputs)
+        assert outputs and all(r.outputs.node is None and not r.outputs.requires_grad for r in outputs)
+        inputs, _ = model.task.eval_set(0, 4)
+        assert forward(inputs, training=True, noise_rng=Rng(0)).outputs.node is not None
 
 
 class TestTrainStepGraph:
@@ -491,13 +493,13 @@ class TestTrainStepGraph:
         walk = T.backward
 
         def collecting(loss):
-            stack, seen = [loss], set()
+            stack, seen = [loss.node], set()
             while stack:
                 node = stack.pop()
-                if node._parents and id(node) not in seen:
+                if node is not None and node.parents and id(node) not in seen:
                     seen.add(id(node))
-                    rules.append(weakref.ref(node._backward))
-                    stack.extend(node._parents)
+                    rules.append(weakref.ref(node.rule))
+                    stack.extend(node.parents)
             walk(loss)
 
         monkeypatch.setattr(T, "backward", collecting)
@@ -509,7 +511,7 @@ class TestTrainStepGraph:
             gc.enable()
         assert len(rules) > 10
         assert dead == len(rules)
-        assert result.outputs._parents == ()
+        assert result.outputs.node.parents == () and result.outputs.node.grad is None
 
     @pytest.mark.parametrize("kind", LAYER_KINDS)
     def test_held_result_keeps_no_graph(self, kind):

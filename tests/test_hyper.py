@@ -235,22 +235,22 @@ class TestGeneratedExpert:
             assert got.shape == want.shape, name
             assert np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0) < 1e-12, name
 
-    def test_builds_no_per_token_weights(self):
-        # every node of the layer's graph stays below T*h*b elements, the
-        # size of the per-token D (T, b) and U (T, b, h) stacks
+    def test_builds_no_per_token_weights(self, monkeypatch):
+        # every tensor of the layer's graph, each op's inputs and output, stays below
+        # T*h*b elements, the size of the per-token D (T, b) and U (T, b, h) stacks
         n_tokens, h, b, tk = 32, 8, 4, 3
         x, bank, gate, hyper = setup_layer(t_tokens=n_tokens, h=h, n=3, d_ff=16, tk=tk, b=b)
-        out = hypermoe_forward(x, bank, noisy_topk_gate(x, gate, 1), *hyper, 0, "unselected")
-        seen, stack, largest = set(), [out], 0
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            largest = max(largest, node.size)
-            stack.extend(node._parents)
-        assert len(seen) > 20
-        assert largest < n_tokens * h * b, largest
+        sizes, record = [], T._record
+
+        def recording(out, inputs, rule):
+            sizes.extend([out.size] + [t.size for t in inputs])
+            return record(out, inputs, rule)
+
+        monkeypatch.setattr(T, "_record", recording)
+        with Tape() as tape:
+            hypermoe_forward(x, bank, noisy_topk_gate(x, gate, 1), *hyper, 0, "unselected")
+        assert len(tape.records) > 10 and len(sizes) > 20
+        assert max(sizes) < n_tokens * h * b, max(sizes)
 
 
 def setup_layer(seed=0, t_tokens=5, h=4, n=3, d_ff=6, n_layers=2, t=3, tp=3, tk=3, b=2, **hkw):

@@ -21,17 +21,24 @@ tuple of two tensors.
 ``training.py`` and ``cli.py`` name no task kind or metric: each task in
 ``tasks.py`` says how its outputs are shaped, trained and scored, and
 ``Model`` alone reads the kind, for its scalar input.
+
+No backward rule of a training graph closes over a ``Tensor``: a rule reaches
+its parents only through its node's arguments, and keeps only the arrays it
+reads, so the graph holds no op output's data.
 """
 
 import ast
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from hypermoe.config import LAYER_KINDS, ModelConfig
+from hypermoe.config import LAYER_KINDS, TASKS, ModelConfig
 from hypermoe.model import Model
-from hypermoe.tensor import Tensor
+from hypermoe.tasks import generate_task_batch
+from hypermoe.tensor import Rng, Tensor
+from hypermoe.training import combined_loss
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hypermoe"
@@ -133,3 +140,48 @@ def test_block_weights_are_tensor_pairs(layer_kind):
         for key in pairs:
             pair = blk[key]
             assert type(pair) is tuple and len(pair) == 2 and all(type(w) is Tensor for w in pair), (i, key)
+
+
+def captured_tensors(rule) -> list[str]:
+    """The closure cells of ``rule`` that hold a Tensor, directly or inside a tuple or list."""
+
+    def holds_tensor(value) -> bool:
+        if isinstance(value, (tuple, list)):
+            return any(holds_tensor(v) for v in value)
+        return isinstance(value, Tensor)
+
+    cells = zip(rule.__code__.co_freevars, rule.__closure__ or ())
+    return [f"{rule.__qualname__}: {name}" for name, cell in cells if holds_tensor(cell.cell_contents)]
+
+
+def test_captured_tensors_finds_a_tensor_in_a_tuple():
+    held = (np.zeros(2), [Tensor(np.zeros(2))])
+    plain = np.zeros(2)
+    assert captured_tensors(lambda g: held) == ["test_captured_tensors_finds_a_tensor_in_a_tuple.<locals>.<lambda>: held"]
+    assert captured_tensors(lambda g: plain) == []
+
+
+GRAPH_CONFIGS = [(kind, task, "learned") for kind in LAYER_KINDS for task in TASKS] + [
+    ("hypermoe", task, "compressed") for task in TASKS]
+
+
+@pytest.mark.parametrize("layer_kind,task,source", GRAPH_CONFIGS)
+def test_no_rule_closes_over_a_tensor(layer_kind, task, source):
+    cfg = ModelConfig(h=8, d_ff=8, n_experts=3, top_k=2, n_layers=2, t=4, t_prime=4, t_k=4, b=2, moduli=[3, 4],
+                      train_size=16, eval_size=16, batch_size=4, layer_kind=layer_kind, task=task,
+                      embedding_source=source)
+    model = Model(cfg)
+    inputs, targets = generate_task_batch(model.task, Rng(0), cfg.batch_size)
+    result = model.forward(inputs, training=True, noise_rng=Rng(1))
+    loss, _, _ = combined_loss(result, targets, model.task, cfg)
+    rules, stack, seen = [], [loss.node], set()
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen or not node.parents:  # a leaf, or an input needing no gradient
+            continue
+        seen.add(id(node))
+        rules.append(node.rule)
+        stack.extend(node.parents)
+    assert len(rules) > 20
+    offenders = [site for rule in rules for site in captured_tensors(rule)]
+    assert not offenders, "rules that close over a Tensor: " + ", ".join(sorted(set(offenders)))

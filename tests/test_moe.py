@@ -302,7 +302,7 @@ class TestGroupedDispatch:
         with Tape() as tape:
             moe_forward(x, bank, dec)
         assert len(tape.records) == 1
-        assert tape.records[0]._parents == (x, dec.gate_values, bank[0], bank[1])
+        assert tape.records[0].parents == [x, dec.gate_values.node, bank[0], bank[1]]
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 300])
     def test_slot_sort_is_the_stable_argsort(self, n):

@@ -1,5 +1,7 @@
+import gc
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -265,10 +267,12 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         n = T.reshape(x, (2, 1))
         loss = T.tsum(n + n)
+        assert n.node.parents == [x] and len(loss.node.parents) == 1
         loss.backward()
-        # only the leaf keeps a gradient; every op node dropped its rule and parents
+        # only the leaf keeps a gradient; every node dropped its gradient, rule and parents
         assert n.grad is None and loss.grad is None
-        assert n._parents == () and loss._parents == ()
+        assert n.node.grad is None and loss.node.grad is None
+        assert n.node.parents == () and loss.node.parents == ()
         before = x.grad.copy()
         for again in (loss, T.tsum(n), T.tsum(n * Tensor([[3.0], [4.0]]))):
             with pytest.raises(ContractError, match="already consumed"):
@@ -286,6 +290,70 @@ class TestBackward:
         f(w).backward()
         fd = finite_diff_grad(f, w)
         assert np.max(np.abs(w.grad - fd)) / max(np.max(np.abs(fd)), 1e-8) < 1e-4
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """The cyclic collector off, so an array dies only when its last reference goes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.usefixtures("no_cyclic_gc")
+class TestGraphKeepsOnlyWhatRulesRead:
+    """An op output's array is held by its caller and by the rules that read it, not by the graph."""
+
+    @staticmethod
+    def leaves():
+        rng = Rng(5)
+        return [Tensor(rng.gaussian(3, 4), requires_grad=True) for _ in range(3)]
+
+    @pytest.mark.parametrize("consumer", ["relu", "add"])
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_unread_sum_is_freed_while_the_graph_lives(self, consumer, drop):
+        a, b, c = self.leaves()
+        weights = Rng(6).gaussian(3, 4)
+        s = a + b
+        ref = weakref.ref(s.data)
+        out = T.relu(s) if consumer == "relu" else s + c
+        if drop:
+            del s
+            assert ref() is None  # neither relu's rule nor add's reads the sum
+        else:
+            assert ref() is not None
+        loss = T.tsum(out * Tensor(weights))
+        assert out.node.rule is not None and len(out.node.parents) == (1 if consumer == "relu" else 2)
+        loss.backward()
+        # bit for bit what the rules' arithmetic gives, whether or not the sum was dropped
+        if consumer == "relu":
+            want = weights * (np.maximum(a.data + b.data, 0.0) > 0.0)
+            assert c.grad is None
+        else:
+            want = weights
+            assert np.array_equal(c.grad, want)
+        assert np.array_equal(a.grad, want) and np.array_equal(b.grad, want)
+
+    def test_matmul_keeps_its_left_operand_until_backward(self):
+        a, b, _ = self.leaves()
+        w = Tensor(Rng(7).gaussian(4, 2), requires_grad=True)
+        s = a + b
+        left, held = weakref.ref(s.data), s.data.copy()
+        out = s @ w
+        product = weakref.ref(out.data)
+        loss = T.tsum(out)
+        del s, out
+        assert product() is None  # tsum's rule reads no data
+        assert left() is not None  # w's gradient reads the left operand
+        loss.backward()
+        assert left() is None
+        ones = np.ones((3, 2))
+        assert np.array_equal(w.grad, held.T @ ones)
+        assert np.array_equal(a.grad, ones @ w.data.T) and np.array_equal(b.grad, a.grad)
 
 
 # one graph family per op mix; 100 seeds total, vs the central-difference oracle
@@ -478,12 +546,16 @@ class TestTape:
             x = Tensor([1.0, 2.0], requires_grad=True)
             y = T.relu(x)
             z = T.tsum(y * y)
-        positions = {id(t): i for i, t in enumerate(tape.records)}
+        positions = {id(node): i for i, node in enumerate(tape.records)}
+        recorded_parents = 0
         for rec in tape.records:
-            for parent in rec._parents:
+            for parent in rec.parents:
                 if id(parent) in positions:
+                    recorded_parents += 1
                     assert positions[id(parent)] < positions[id(rec)]
-        assert positions[id(z)] == len(tape.records) - 1
+        assert recorded_parents == 3  # y * y lists y's node twice, tsum lists the product's
+        assert positions[id(y.node)] == 0
+        assert positions[id(z.node)] == len(tape.records) - 1
 
     def test_nested_tape_isolated(self):
         x = Tensor([1.0], requires_grad=True)
@@ -542,11 +614,19 @@ class TestNoGrad:
     def test_ops_link_nothing_and_no_tape_lists_them(self):
         x = Tensor([[1.0, -2.0]], requires_grad=True)
         w = Tensor([[0.5], [1.5]], requires_grad=True)
+
+        def ops():
+            return [T.relu(x), x @ w, T.softmax(x), T.tsum(x * x), T.concat([x, x])]
+
         with Tape() as tape, T.no_grad():
-            outs = [T.relu(x), x @ w, T.softmax(x), T.tsum(x * x), T.concat([x, x])]
+            outs = ops()
         assert tape.records == []
         for out in outs:
-            assert out._parents == () and out._backward is None and not out.requires_grad
+            assert out.node is None and not out.requires_grad
+        with Tape() as tape:
+            linked = ops()
+        assert all(out.node is not None and out.requires_grad for out in linked)
+        assert len(tape.records) == 6
 
     def test_nests(self):
         x = Tensor([1.0], requires_grad=True)
@@ -554,7 +634,7 @@ class TestNoGrad:
             with T.no_grad():
                 pass
             assert not (x * x).requires_grad
-        assert (x * x)._parents == (x, x)
+        assert (x * x).node.parents == [x, x]
 
     def test_restores_the_flag_when_an_exception_is_raised(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
