@@ -26,20 +26,23 @@ FORMAT = 2
 
 
 def save_checkpoint(model: Model, path: str, step: int = 0) -> None:
+    """Write ``model`` to ``path`` with ``step``, atomically: into a new file beside it, then renamed.
+
+    The payload is written straight from the parameters' buffers: one pass hashes them, then
+    each is written after the manifest, so a save holds no copy of the parameters."""
     names = sorted(model.params)
-    entries = []
-    payload = bytearray()
-    for name in names:
-        p = model.params[name]
-        buf = np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-        entries.append({"name": name, "shape": list(p.shape), "offset": len(payload)})
-        payload += buf
+    bufs = [np.ascontiguousarray(model.params[name].data, dtype="<f8") for name in names]
+    entries, offset, digest = [], 0, hashlib.sha256()
+    for name, buf in zip(names, bufs):
+        entries.append({"name": name, "shape": list(model.params[name].shape), "offset": offset})
+        digest.update(buf)
+        offset += buf.nbytes
     manifest = {
         "format": FORMAT,
         "step": step,
         "config": model.cfg.to_dict(),
         "params": entries,
-        "sha256": hashlib.sha256(payload).hexdigest(),
+        "sha256": digest.hexdigest(),
     }
     blob = json.dumps(manifest).encode("utf-8")
     # write beside the target, then rename: a reader never sees a partial file
@@ -50,7 +53,8 @@ def save_checkpoint(model: Model, path: str, step: int = 0) -> None:
             f.write(MAGIC)
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
-            f.write(payload)
+            for buf in bufs:
+                f.write(buf)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

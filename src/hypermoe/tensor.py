@@ -416,31 +416,42 @@ def _grouped_ffn(x: Array, ids: Array, k: int, w1: Array, w2: Array) -> tuple[Ar
     """Row r's FFN relu(x[r // k] W1[u]) W2[u], u = ids[r], in row order, and the state its backward needs.
 
     ``w1`` and ``w2`` are (N, ...) stacks. The rows are sorted by id once, and
-    each id present runs as two GEMMs on its contiguous slice, into one hidden
-    and one output buffer.
+    each id present gathers its rows of ``x`` and runs them as two GEMMs, into
+    its contiguous slice of one hidden and one output buffer. The state is the
+    sort, the spans and the hidden buffer; it keeps no gathered copy of ``x``.
     """
     order = np.argsort(ids.astype(np.min_scalar_type(len(w1) - 1)), kind="stable")  # radix sort below 2**16 ids
     counts = np.bincount(ids, minlength=len(w1))
     ends = np.cumsum(counts)
     spans = [(u, ends[u] - counts[u], ends[u]) for u in np.flatnonzero(counts)]
-    xs = x[order // k]
+    src = order // k
     hidden = np.empty((len(ids), w1.shape[2]))
     ys = np.empty((len(ids), w2.shape[2]))
     for u, s, e in spans:
-        np.matmul(xs[s:e], w1[u], out=hidden[s:e])
+        np.matmul(x[src[s:e]], w1[u], out=hidden[s:e])
         np.maximum(hidden[s:e], 0.0, out=hidden[s:e])
         np.matmul(hidden[s:e], w2[u], out=ys[s:e])
     y = np.empty_like(ys)
     y[order] = ys
-    return y, (order, spans, xs, hidden)
+    return y, (order, spans, hidden)
 
 
-def _grouped_ffn_back(gy: Array, k: int, state: tuple, w1: Array, w2: Array) -> tuple[Array, Array, Array]:
-    """For the row-order output gradient ``gy`` of ``_grouped_ffn``: the gradient of x, and the
-    (N, ...) gradient stacks of W1 and W2, whose row u is zero when no row ran through id u."""
-    order, spans, xs, hidden = state
-    gs = gy[order]
-    dxs = np.empty_like(xs)
+def _grouped_ffn_back(g: Array, scale: Array | None, x: Array, k: int, state: tuple, w1: Array, w2: Array
+                      ) -> tuple[Array, Array, Array]:
+    """The gradients of ``_grouped_ffn(x, ids, k, w1, w2)`` when row r's output gradient is
+    ``g[r // k] * scale[r]`` (``g[r // k]`` when ``scale`` is None): the gradient of x, and the
+    (N, ...) gradient stacks of W1 and W2, whose row u is zero when no row ran through id u.
+
+    The sorted output gradient is gathered from ``g`` directly, each id gathers its rows of ``x``
+    again, and its rows of the input gradient are written straight into place: no row-order
+    output gradient, gathered ``x`` or sorted input gradient is built whole.
+    """
+    order, spans, hidden = state
+    src = order // k
+    gs = g[src]
+    if scale is not None:
+        gs *= scale[order][:, None]
+    dx = np.empty((len(order), x.shape[1]))
     dw1, dw2 = np.empty_like(w1), np.empty_like(w2)
     idle = np.ones(len(w1), dtype=bool)
     idle[[u for u, _, _ in spans]] = False
@@ -448,21 +459,22 @@ def _grouped_ffn_back(gy: Array, k: int, state: tuple, w1: Array, w2: Array) -> 
     for u, s, e in spans:
         d_pre = gs[s:e] @ w2[u].T
         d_pre *= hidden[s:e] > 0.0
-        np.matmul(xs[s:e].T, d_pre, out=dw1[u])
+        np.matmul(x[src[s:e]].T, d_pre, out=dw1[u])
         np.matmul(hidden[s:e].T, gs[s:e], out=dw2[u])
-        np.matmul(d_pre, w1[u].T, out=dxs[s:e])
-    dx = np.empty_like(dxs)
-    dx[order] = dxs
+        dx[order[s:e]] = d_pre @ w1[u].T
     return dx.reshape(-1, k, dx.shape[1]).sum(axis=1), dw1, dw2
 
 
 def routed_experts(x: Tensor, w1: Tensor, w2: Tensor, selected: Array, gates: Tensor) -> Tensor:
     """out[t] = sum_k gates[t, k] relu(x[t] W1[e]) W2[e] with e = selected[t, k], over the expert
     stacks W1 (N, h, d_ff) and W2 (N, d_ff, h); the T*K slots run grouped by expert. An expert no
-    slot selects is not run, and the stacks' ``grad_rows`` leave its row out."""
+    slot selects is not run, and the stacks' ``grad_rows`` leave its row out.
+
+    The rule keeps ``x``'s data (which the gate's matmul holds anyway), the gate values' data, the
+    per-slot outputs ``y`` (for the gates' gradient) and the grouped state with its hidden rows."""
     n, k = selected.shape
-    gd, w1d, w2d = gates.data, w1.data, w2.data
-    y, state = _grouped_ffn(x.data, selected.reshape(-1), k, w1d, w2d)
+    xd, gd, w1d, w2d = x.data, gates.data, w1.data, w2.data
+    y, state = _grouped_ffn(xd, selected.reshape(-1), k, w1d, w2d)
     y = y.reshape(n, k, -1)
     if k == 1:  # exactly the 1x1 GEMV, without one BLAS call per token
         out = Tensor(gd * y[:, 0])
@@ -472,8 +484,7 @@ def routed_experts(x: Tensor, w1: Tensor, w2: Tensor, selected: Array, gates: Te
     def back(g: Array, x: Parent, gates: Parent, w1: Parent, w2: Parent) -> None:
         if gates is not None:
             gates.accumulate_grad(np.einsum("th,tkh->tk", g, y))
-        gy = (gd[:, :, None] * g[:, None, :]).reshape(n * k, -1)
-        dx, dw1, dw2 = _grouped_ffn_back(gy, k, state, w1d, w2d)
+        dx, dw1, dw2 = _grouped_ffn_back(g, gd.reshape(-1), xd, k, state, w1d, w2d)
         if x is not None:
             x.accumulate_grad(dx)
         used = np.array([u for u, _, _ in state[1]])
@@ -489,18 +500,22 @@ def generated_expert(x: Tensor, codes: Tensor, groups: Array, w_down: Tensor, w_
 
     ``codes`` is (U, t_k), one code k_u per group; D_u = reshape(W_down k_u, (h, b))
     and U_u = reshape(W_up k_u, (b, h)), with b = rows(W_down) / h, are built once per
-    group, and the tokens run grouped.
+    group, and the tokens run grouped. The rule keeps the data of ``x``, the codes,
+    ``W_down`` and ``W_up`` and the grouped state, and rebuilds the D and U stacks with
+    the forward's two GEMMs, so no (U, h, b) stack lives between forward and backward.
     """
     n_groups, h = codes.shape[0], x.shape[-1]
-    cd, wdd, wud = codes.data, w_down.data, w_up.data
+    xd, cd, wdd, wud = x.data, codes.data, w_down.data, w_up.data
     b = wdd.shape[0] // h
-    down = (cd @ wdd.T).reshape(n_groups, h, b)
-    up = (cd @ wud.T).reshape(n_groups, b, h)
-    y, state = _grouped_ffn(x.data, groups, 1, down, up)
+
+    def stacks() -> tuple[Array, Array]:
+        return (cd @ wdd.T).reshape(n_groups, h, b), (cd @ wud.T).reshape(n_groups, b, h)
+
+    y, state = _grouped_ffn(xd, groups, 1, *stacks())
     out = Tensor(y)
 
     def back(g: Array, x: Parent, codes: Parent, w_down: Parent, w_up: Parent) -> None:
-        dx, d_down, d_up = _grouped_ffn_back(g, 1, state, down, up)
+        dx, d_down, d_up = _grouped_ffn_back(g, None, xd, 1, state, *stacks())
         d_down, d_up = d_down.reshape(n_groups, h * b), d_up.reshape(n_groups, b * h)
         if x is not None:
             x.accumulate_grad(dx)

@@ -740,8 +740,40 @@ class TestCheckpoint:
         save_checkpoint(loaded, second, step=step)
         assert open(first, "rb").read() == open(second, "rb").read()
 
+    def test_streamed_save_writes_the_copying_writers_bytes(self, tmp_path):
+        # the file is byte for byte what the writer that joined a payload copy wrote, and a save
+        # allocates under a quarter of the payload, where that writer took more than all of it
+        model = build_model(tiny_cfg(layer_kind="hypermoe", h=32, d_ff=96, n_experts=4))
+        payload = sum(p.data.nbytes for p in model.params.values())
+        peaks = []
+        for save, name in ((save_checkpoint, "new.bin"), (copying_save_checkpoint, "old.bin")):
+            tracemalloc.start()
+            try:
+                save(model, str(tmp_path / name), step=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+        assert peaks[0] < payload / 4 and peaks[1] > payload, (peaks, payload)
+
 
 HEAD = len(MAGIC) + 8  # magic and the manifest length
+
+
+def copying_save_checkpoint(model, path, step=0):
+    """The writer that joined every parameter's bytes into one payload before writing; the
+    reference for the bytes ``save_checkpoint`` writes."""
+    entries, payload = [], bytearray()
+    for name in sorted(model.params):
+        p = model.params[name]
+        entries.append({"name": name, "shape": list(p.shape), "offset": len(payload)})
+        payload += np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+    manifest = {"format": checkpoint.FORMAT, "step": step, "config": model.cfg.to_dict(), "params": entries,
+                "sha256": hashlib.sha256(payload).hexdigest()}
+    blob = json.dumps(manifest).encode("utf-8")
+    with open(path, "xb") as f:
+        f.write(MAGIC + struct.pack("<Q", len(blob)) + blob)
+        f.write(payload)
 
 
 def rehashed(data):

@@ -21,7 +21,7 @@ from hypermoe.tasks import generate_task_batch
 from hypermoe.tensor import Rng, Tape, Tensor, finite_diff_grad
 from hypermoe.training import combined_loss
 
-from test_moe import decision_from_probs, make_bank, make_gate
+from test_moe import decision_from_probs, make_bank, make_gate, oracle_grouped_ffn, oracle_grouped_ffn_back
 from test_tensor import tmean
 
 
@@ -200,6 +200,42 @@ def generated_expert_case(draw):
     return n_tokens, h, b, tk, np.asarray(groups, dtype=np.int64)
 
 
+def oracle_generated_expert(x, codes, groups, w_down, w_up):
+    """The generated expert as it was when its rule kept the (U, h, b) and (U, b, h) stacks
+    and the gathered rows of x; ``generated_expert`` must match it bit for bit."""
+    n_groups, h = codes.shape[0], x.shape[-1]
+    cd, wdd, wud = codes.data, w_down.data, w_up.data
+    b = wdd.shape[0] // h
+    down = (cd @ wdd.T).reshape(n_groups, h, b)
+    up = (cd @ wud.T).reshape(n_groups, b, h)
+    y, state = oracle_grouped_ffn(x.data, groups, 1, down, up)
+    out = Tensor(y)
+
+    def back(g, x, codes, w_down, w_up):
+        dx, d_down, d_up = oracle_grouped_ffn_back(g, 1, state, down, up)
+        d_down, d_up = d_down.reshape(n_groups, h * b), d_up.reshape(n_groups, b * h)
+        if x is not None:
+            x.accumulate_grad(dx)
+        if codes is not None:
+            codes.accumulate_grad(d_down @ wdd + d_up @ wud)
+        if w_down is not None:
+            w_down.accumulate_grad(d_down.T @ cd)
+        if w_up is not None:
+            w_up.accumulate_grad(d_up.T @ cd)
+
+    return T._record(out, (x, codes, w_down, w_up), back)
+
+
+@st.composite
+def grouped_cases(draw):
+    """Up to 40 tokens in one group, one group per token, or any number of groups between."""
+    n_tokens = draw(st.integers(1, 40))
+    h = draw(st.integers(2, 6))
+    b, tk = draw(st.integers(1, h - 1)), draw(st.integers(1, 5))
+    n_groups = draw(st.integers(1, n_tokens))
+    return n_tokens, h, b, tk, n_groups
+
+
 class TestGeneratedExpert:
     @given(case=generated_expert_case(), seed=st.integers(0, 2**16))
     def test_matches_per_token_oracle(self, case, seed):
@@ -234,6 +270,25 @@ class TestGeneratedExpert:
         for name, got, want in zip(("out", "x", "codes", "w_down", "w_up"), fast, oracle):
             assert got.shape == want.shape, name
             assert np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0) < 1e-12, name
+
+    @given(case=grouped_cases(), seed=st.integers(0, 2**16))
+    def test_bitwise_the_stack_keeping_rule(self, case, seed):
+        # output and every gradient equal the oracle's to the last bit
+        n_tokens, h, b, tk, n_groups = case
+        rng = Rng(seed)
+        groups = np.concatenate([np.arange(n_groups), rng.integers(0, n_groups, n_tokens - n_groups)])
+        groups = groups[np.argsort(rng.uniform(n_tokens))]
+        arrays = (rng.gaussian(n_tokens, h), rng.gaussian(n_groups, tk), rng.gaussian(h * b, tk, std=0.3),
+                  rng.gaussian(b * h, tk, std=0.3))
+        g = rng.gaussian(n_tokens, h)
+        runs = []
+        for rule in (T.generated_expert, oracle_generated_expert):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = rule(leaves[0], leaves[1], groups, *leaves[2:])
+            T.tsum(out * Tensor(g)).backward()  # hands the rule exactly g
+            runs.append([out.data] + [t.grad for t in leaves])
+        for name, got, want in zip(("out", "x", "codes", "w_down", "w_up"), *runs):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_builds_no_per_token_weights(self, monkeypatch):
         # every tensor of the layer's graph, each op's inputs and output, stays below

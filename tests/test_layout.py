@@ -24,7 +24,9 @@ tuple of two tensors.
 
 No backward rule of a training graph closes over a ``Tensor``: a rule reaches
 its parents only through its node's arguments, and keeps only the arrays it
-reads, so the graph holds no op output's data.
+reads, so the graph holds no op output's data. The fused expert rules keep
+``x``'s own data and no gathered copy of it, and the generated expert's rule
+keeps no per-group D or U stack: their backwards gather and rebuild those.
 """
 
 import ast
@@ -34,6 +36,7 @@ import re
 import numpy as np
 import pytest
 
+from hypermoe import tensor as T
 from hypermoe.config import LAYER_KINDS, TASKS, ModelConfig
 from hypermoe.model import Model
 from hypermoe.tasks import generate_task_batch
@@ -185,3 +188,59 @@ def test_no_rule_closes_over_a_tensor(layer_kind, task, source):
     assert len(rules) > 20
     offenders = [site for rule in rules for site in captured_tensors(rule)]
     assert not offenders, "rules that close over a Tensor: " + ", ".join(sorted(set(offenders)))
+
+
+def captured_arrays(rule) -> list[np.ndarray]:
+    """The arrays ``rule`` closes over: in a cell, inside a tuple or list, or in a function it closes over."""
+    found, seen = [], set()
+
+    def walk(value) -> None:
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (tuple, list)):
+            for v in value:
+                walk(v)
+        elif getattr(value, "__closure__", None):
+            for cell in value.__closure__:
+                walk(cell.cell_contents)
+
+    walk(rule)
+    return found
+
+
+@pytest.mark.parametrize("layer_kind,source", [("moe", "learned"), ("moe_share", "learned"),
+                                               ("hypermoe", "learned"), ("hypermoe", "compressed")])
+def test_fused_rules_keep_no_gathered_copy(monkeypatch, layer_kind, source):
+    """A ``routed_experts`` or ``generated_expert`` rule holds no (T, h) or (T*K, h) array but
+    ``x``'s own data, and a ``generated_expert`` rule no 3-D array with one row per group.
+    d_ff, b and t_k differ from h, so no kept array shares a gathered copy's shape by chance."""
+    calls = []
+    for name in ("routed_experts", "generated_expert"):
+        def recording(x, *args, op=getattr(T, name)):
+            out = op(x, *args)
+            calls.append((op.__name__, x.data, args, out.node.rule))
+            return out
+
+        monkeypatch.setattr(T, name, recording)
+    cfg = ModelConfig(h=8, d_ff=12, n_experts=4, top_k=2, n_layers=2, t=4, t_prime=4, t_k=5, b=2, moduli=[3, 4],
+                      train_size=16, eval_size=16, batch_size=4, layer_kind=layer_kind, embedding_source=source)
+    model = Model(cfg)
+    inputs, targets = generate_task_batch(model.task, Rng(0), cfg.batch_size)
+    result = model.forward(inputs, training=True, noise_rng=Rng(1))
+    combined_loss(result, targets, model.task, cfg)
+
+    per_layer = ["routed_experts", "generated_expert"] if layer_kind == "hypermoe" else ["routed_experts"]
+    assert [c[0] for c in calls] == per_layer * cfg.n_layers
+    for name, xd, args, rule in calls:
+        arrays = captured_arrays(rule)
+        assert any(a is xd for a in arrays), name  # the walk sees the rule's arrays
+        slots = args[2].size if name == "routed_experts" else len(xd)  # top_k 2: T*K slots, not T
+        copies = [a.shape for a in arrays if a.shape in ((len(xd), cfg.h), (slots, cfg.h)) and a is not xd]
+        assert not copies, f"{name} keeps gathered copies of x: {copies}"
+        if name == "generated_expert":
+            n_groups = len(args[0].data)
+            stacks = [a.shape for a in arrays if a.ndim == 3 and a.shape[0] == n_groups]
+            assert not stacks, f"generated_expert keeps per-group stacks: {stacks}"

@@ -245,6 +245,83 @@ def routing_cases(draw):
     return n_tokens, h, d_ff, n, k, used
 
 
+# The grouped kernels and the routed rule as they were when each rule kept the gathered rows
+# x[order // k] and built the row-order gradient gy before sorting it. Today's kernels run the
+# same numpy and BLAS calls on the same values, so they must match these bit for bit.
+
+
+def oracle_grouped_ffn(x, ids, k, w1, w2):
+    order = np.argsort(ids.astype(np.min_scalar_type(len(w1) - 1)), kind="stable")
+    counts = np.bincount(ids, minlength=len(w1))
+    ends = np.cumsum(counts)
+    spans = [(u, ends[u] - counts[u], ends[u]) for u in np.flatnonzero(counts)]
+    xs = x[order // k]
+    hidden = np.empty((len(ids), w1.shape[2]))
+    ys = np.empty((len(ids), w2.shape[2]))
+    for u, s, e in spans:
+        np.matmul(xs[s:e], w1[u], out=hidden[s:e])
+        np.maximum(hidden[s:e], 0.0, out=hidden[s:e])
+        np.matmul(hidden[s:e], w2[u], out=ys[s:e])
+    y = np.empty_like(ys)
+    y[order] = ys
+    return y, (order, spans, xs, hidden)
+
+
+def oracle_grouped_ffn_back(gy, k, state, w1, w2):
+    order, spans, xs, hidden = state
+    gs = gy[order]
+    dxs = np.empty_like(xs)
+    dw1, dw2 = np.empty_like(w1), np.empty_like(w2)
+    idle = np.ones(len(w1), dtype=bool)
+    idle[[u for u, _, _ in spans]] = False
+    dw1[idle], dw2[idle] = 0.0, 0.0
+    for u, s, e in spans:
+        d_pre = gs[s:e] @ w2[u].T
+        d_pre *= hidden[s:e] > 0.0
+        np.matmul(xs[s:e].T, d_pre, out=dw1[u])
+        np.matmul(hidden[s:e].T, gs[s:e], out=dw2[u])
+        np.matmul(d_pre, w1[u].T, out=dxs[s:e])
+    dx = np.empty_like(dxs)
+    dx[order] = dxs
+    return dx.reshape(-1, k, dx.shape[1]).sum(axis=1), dw1, dw2
+
+
+def oracle_routed_experts(x, w1, w2, selected, gates):
+    n, k = selected.shape
+    gd, w1d, w2d = gates.data, w1.data, w2.data
+    y, state = oracle_grouped_ffn(x.data, selected.reshape(-1), k, w1d, w2d)
+    y = y.reshape(n, k, -1)
+    if k == 1:
+        out = Tensor(gd * y[:, 0])
+    else:
+        out = Tensor(np.matmul(gd[:, None, :], y)[:, 0])
+
+    def back(g, x, gates, w1, w2):
+        if gates is not None:
+            gates.accumulate_grad(np.einsum("th,tkh->tk", g, y))
+        gy = (gd[:, :, None] * g[:, None, :]).reshape(n * k, -1)
+        dx, dw1, dw2 = oracle_grouped_ffn_back(gy, k, state, w1d, w2d)
+        if x is not None:
+            x.accumulate_grad(dx)
+        used = np.array([u for u, _, _ in state[1]])
+        for w, d in ((w1, dw1), (w2, dw2)):
+            if w is not None:
+                w.accumulate_grad(d, used)
+
+    return T._record(out, (x, gates, w1, w2), back)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Tokens, widths, N and K for the bitwise check; tokens route among `used` experts only."""
+    n_tokens = draw(st.integers(1, 40))
+    h, d_ff = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(3, n)))
+    used = draw(st.integers(k, n))
+    return n_tokens, h, d_ff, n, k, used
+
+
 class TestGroupedDispatch:
     @given(case=routing_cases(), seed=st.integers(0, 2**16))
     def test_matches_per_expert_dispatch(self, case, seed):
@@ -328,10 +405,28 @@ class TestGroupedDispatch:
         y, state = T._grouped_ffn(x.data, selected.reshape(-1), 1, w1.data, w2.data)
         y = y.reshape(n_tokens, 1, h)
         want = np.matmul(gates.data[:, None, :], y)[:, 0]
-        dx, dw1, dw2 = T._grouped_ffn_back(gates.data * g, 1, state, w1.data, w2.data)
+        dx, dw1, dw2 = T._grouped_ffn_back(g, gates.data.reshape(-1), x.data, 1, state, w1.data, w2.data)
         d_gates = np.einsum("th,tkh->tk", g, y)
         for got, ref in ((out.data, want), (x.grad, dx), (w1.grad, dw1), (w2.grad, dw2), (gates.grad, d_gates)):
             assert got.tobytes() == ref.tobytes()
+
+    @given(case=kernel_cases(), seed=st.integers(0, 2**16))
+    def test_bitwise_the_gathering_kernels(self, case, seed):
+        # output, every gradient and the used rows equal the oracle's to the last bit
+        n_tokens, h, d_ff, n, k, used = case
+        rng = Rng(seed)
+        pool = np.argsort(rng.uniform(n))[:used]
+        selected = np.stack([pool[np.argsort(rng.uniform(used))[:k]] for _ in range(n_tokens)])
+        arrays = (rng.gaussian(n_tokens, h), rng.gaussian(n, h, d_ff), rng.gaussian(n, d_ff, h), rng.uniform(n_tokens, k))
+        g = rng.gaussian(n_tokens, h)
+        runs = []
+        for rule in (T.routed_experts, oracle_routed_experts):
+            x, w1, w2, gates = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            out = rule(x, w1, w2, selected, gates)
+            T.tsum(out * Tensor(g)).backward()  # hands the rule exactly g
+            runs.append([out.data, x.grad, w1.grad, w2.grad, gates.grad, w1.grad_rows, w2.grad_rows])
+        for name, got, want in zip(("out", "x", "w1", "w2", "gates", "w1 rows", "w2 rows"), *runs):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 class TestLoadBalanceLoss:
