@@ -1,8 +1,8 @@
 """HyperMoE: sparse MoE layers with hypernetwork-generated per-token experts."""
 
 from .config import ModelConfig
-from .tensor import Rng, Tape, Tensor, backward, finite_diff_grad
+from .tensor import Rng, Tensor
 
-__all__ = ["ModelConfig", "Rng", "Tape", "Tensor", "backward", "finite_diff_grad"]
+__all__ = ["ModelConfig", "Rng", "Tensor"]
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .errors import ConfigurationError, DivergenceError, IntegrityError
 from .hyper import combine_embeddings, selection_embedding
 from .model import Model, build_model
 from .tasks import generate_task_batch
-from .tensor import Rng, Tape, Tensor, finite_diff_grad
+from .tensor import Rng, Tape, Tensor
 from .training import combined_loss, evaluate, make_optimizer, train_model, train_step
 
 EXIT_OK = 0
@@ -141,48 +141,51 @@ GRADCHECK_MAX_PARAMS = 100_000
 
 
 def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[dict]:
-    """Analytic vs central-difference gradients, one row per parameter group and one per
-    expert of a stacked bank, the only 3-D parameters (``l0.experts.w1[2]``), so each error
-    is scaled by its own largest gradient."""
-    model = build_model(cfg)
-    if model.total_params() >= GRADCHECK_MAX_PARAMS:
+    """Analytic vs central-difference gradients of the loss ``train_step`` differentiates:
+    the training forward, with one fixed noise draw, and ``combined_loss``. One row per
+    parameter group and one per expert of a stacked bank, the only 3-D parameters
+    (``l0.experts.w1[2]``), so each error is scaled by its own largest gradient. Each
+    difference perturbs one coordinate of a parameter in place and then restores it."""
+    n_params = Model(cfg, init=False).total_params()
+    if n_params >= GRADCHECK_MAX_PARAMS:
         raise ConfigurationError(
-            f"model has {model.total_params()} parameters; gradcheck is limited to "
+            f"model has {n_params} parameters; gradcheck is limited to "
             f"{GRADCHECK_MAX_PARAMS} — shrink h, d_ff, or the task vocabulary"
         )
+    model = build_model(cfg)
     if model.conv_pipeline is not None:  # the compression takes no gradient, so the differences hold it fixed too
         tables = [model.expert_table(i) for i in range(cfg.n_layers)]
         model.expert_table = tables.__getitem__
     data_rng = Rng(cfg.seed).spawn("gradcheck")
     inputs, targets = generate_task_batch(model.task, data_rng, min(cfg.batch_size, 8))
 
-    def loss_value() -> Tensor:
-        result = model.forward(inputs, training=False)
-        total, _, _ = combined_loss(result, targets, model.task, cfg)
-        return total
+    def loss_value() -> Tensor:  # a freshly seeded stream per forward, so every forward draws the same noise
+        result = model.forward(inputs, training=True, noise_rng=Rng(cfg.seed).spawn("gradcheck-noise"))
+        return combined_loss(result, targets, model.task, cfg)[0]
 
     with Tape():
         loss_value().backward()
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros(p.shape)) for name, p in model.params.items()}
-    model.zero_grads()
-
+    step = 1e-5
     rows = []
     for name, p in model.params.items():
+        flat = p.data.reshape(-1)
+        fd = np.empty_like(flat)
+        with T.no_grad():
+            for i, x in enumerate(flat.tolist()):
+                flat[i] = x + step
+                hi = loss_value().item()
+                flat[i] -= 2.0 * step
+                lo = loss_value().item()
+                flat[i] = x
+                fd[i] = (hi - lo) / (2.0 * step)
+        fd = fd.reshape(p.shape)
+        grad = p.grad if p.grad is not None else np.zeros(p.shape)
         groups = [(f"{name}[{e}]", e) for e in range(len(p.data))] if p.data.ndim == 3 else [(name, ...)]
         for group, key in groups:
-            def f(candidate: Tensor, _p=p, _key=key) -> float:
-                saved = _p.data[_key].copy()
-                _p.data[_key] = candidate.data
-                try:
-                    with T.no_grad():
-                        return loss_value().item()
-                finally:
-                    _p.data[_key] = saved
-
-            fd = finite_diff_grad(f, Tensor(p.data[key].copy()), step=1e-5)
-            scale = max(np.max(np.abs(fd)), 1e-6)
-            err = float(np.max(np.abs(analytic[name][key] - fd)) / scale)
+            scale = max(np.max(np.abs(fd[key])), 1e-6)
+            err = float(np.max(np.abs(grad[key] - fd[key])) / scale)
             rows.append({"group": group, "max_rel_error": err, "passed": err < tol})
+    model.zero_grads()
     return rows
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hypermoe import tensor as T
 from hypermoe.checkpoint import load_checkpoint, save_checkpoint
 from hypermoe.cli import (
     EXIT_CONFIG,
@@ -20,10 +21,11 @@ from hypermoe.cli import (
 from hypermoe.config import ModelConfig
 from hypermoe.errors import ConfigurationError
 from hypermoe.model import EVAL_CHUNK, MAX_ACTIVATION, build_model
-from hypermoe.tasks import MAX_INSTANCES
-from hypermoe.tensor import Tensor
-from hypermoe.training import evaluate, train_model
+from hypermoe.tasks import MAX_INSTANCES, generate_task_batch
+from hypermoe.tensor import Rng, Tape, Tensor
+from hypermoe.training import combined_loss, evaluate, train_model
 
+from oracles import finite_diff_grad
 from test_harness import rewrite_manifest
 
 TINY = {
@@ -240,6 +242,54 @@ class TestBenchCommand:
         assert main(["bench", "--config", config_path, "--steps", "2", "--warmup", "2"]) == EXIT_CONFIG
 
 
+def per_group_gradcheck(cfg: ModelConfig) -> list[dict]:
+    """Reference audit: the rows of ``gradcheck_model`` by a per-group loop that hands each
+    group to ``finite_diff_grad`` as a copy and writes every candidate into the parameter.
+    It differentiates the same training loss, with the same fixed noise draw."""
+    model = build_model(cfg)
+    inputs, targets = generate_task_batch(model.task, Rng(cfg.seed).spawn("gradcheck"), min(cfg.batch_size, 8))
+
+    def loss_value() -> Tensor:
+        result = model.forward(inputs, training=True, noise_rng=Rng(cfg.seed).spawn("gradcheck-noise"))
+        return combined_loss(result, targets, model.task, cfg)[0]
+
+    with Tape():
+        loss_value().backward()
+    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros(p.shape)) for name, p in model.params.items()}
+    model.zero_grads()
+    rows = []
+    for name, p in model.params.items():
+        groups = [(f"{name}[{e}]", e) for e in range(len(p.data))] if p.data.ndim == 3 else [(name, ...)]
+        for group, key in groups:
+            def f(candidate: Tensor, _p=p, _key=key) -> float:
+                saved = _p.data[_key].copy()
+                _p.data[_key] = candidate.data
+                try:
+                    with T.no_grad():
+                        return loss_value().item()
+                finally:
+                    _p.data[_key] = saved
+
+            fd = finite_diff_grad(f, Tensor(p.data[key].copy()), step=1e-5)
+            scale = max(np.max(np.abs(fd)), 1e-6)
+            err = float(np.max(np.abs(analytic[name][key] - fd)) / scale)
+            rows.append({"group": group, "max_rel_error": err, "passed": err < 1e-4})
+    return rows
+
+
+def scale_rule(op, factor: float):
+    """``op`` with each output's backward rule handing its parents ``factor`` times the gradient."""
+
+    def broken(*args):
+        out = op(*args)
+        if out.node is not None:
+            rule = out.node.rule
+            out.node.rule = lambda g, *parents: rule(g * factor, *parents)
+        return out
+
+    return broken
+
+
 class TestGradcheckCommand:
     def test_hypermoe_toy_passes(self, tmp_path, capsys):
         path = write_config(tmp_path, h=8, d_ff=8, layer_kind="hypermoe", noise_enabled=False)
@@ -247,6 +297,26 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "all groups pass" in out
         assert "FAIL" not in out.replace("FAILURES", "")
+
+    def test_noisy_hypermoe_toy_passes_with_the_noise_audited(self, tmp_path, capsys):
+        # the audited graph is the training one, so the gate noise is drawn and its weights get
+        # a gradient: a zero error would compare a zero gradient with a zero difference
+        path = write_config(tmp_path, h=8, d_ff=8, layer_kind="hypermoe", noise_enabled=True)
+        assert main(["gradcheck", "--config", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "all groups pass" in out
+        rows = [line for line in out.splitlines() if ".gate.wnoise " in line]
+        assert len(rows) == TINY["n_layers"]
+        assert all(float(line.rsplit("=", 1)[1]) > 0.0 for line in rows)
+
+    def test_rows_are_the_per_group_loops(self):
+        # perturbing one coordinate in place takes the same differences as handing each
+        # group, and each expert of a 3-D bank, to finite_diff_grad as a copy
+        cfg = ModelConfig(**{**TINY, "h": 8, "d_ff": 8, "layer_kind": "hypermoe", "noise_enabled": True})
+        rows = gradcheck_model(cfg)
+        assert rows == per_group_gradcheck(cfg)
+        assert "l0.experts.w1[2]" in [r["group"] for r in rows]
+        assert all(r["max_rel_error"] > 0.0 for r in rows if r["group"].endswith("gate.wnoise"))
 
     def test_compressed_toy_passes(self, tmp_path, capsys):
         # the compression chain takes no gradient, so the finite differences must not see it either
@@ -265,34 +335,36 @@ class TestGradcheckCommand:
         err = capsys.readouterr().err
         assert f"gradcheck is limited to {GRADCHECK_MAX_PARAMS}" in err and err.count("\n") == 1
 
-    def test_detects_injected_backward_fault(self):
+    def test_model_above_the_limit_draws_no_weights(self, tmp_path, capsys, monkeypatch):
+        # the parameters are counted on an uninitialized model, so a refused audit draws nothing
+        draws = []
+        gaussian = Rng.gaussian
+        monkeypatch.setattr(Rng, "gaussian", lambda self, *shape, std=1.0: draws.append(shape) or gaussian(self, *shape, std=std))
+        path = write_config(tmp_path, d_ff=1024)
+        assert main(["gradcheck", "--config", path]) == EXIT_CONFIG
+        assert "gradcheck is limited" in capsys.readouterr().err
+        assert draws == []
+
+    def test_detects_injected_backward_fault(self, monkeypatch):
         # scale gradients flowing through the routed experts by 5% without
         # touching the forward values; the affected groups must be reported as failing
         cfg = ModelConfig(**{**TINY, "h": 8, "d_ff": 8, "layer_kind": "moe", "noise_enabled": False})
         rows = gradcheck_model(cfg)
         assert all(r["passed"] for r in rows)
-
-        from hypermoe import tensor as tensor_mod
-
-        saved = tensor_mod.routed_experts
-
-        def broken_routed_experts(*args):
-            out = saved(*args)
-            if out.node is not None:
-                rule = out.node.rule
-
-                def corrupted(g, *parents):
-                    rule(g * 1.05, *parents)
-
-                out.node.rule = corrupted
-            return out
-
-        tensor_mod.routed_experts = broken_routed_experts
-        try:
-            rows = gradcheck_model(cfg)
-        finally:
-            tensor_mod.routed_experts = saved
+        monkeypatch.setattr(T, "routed_experts", scale_rule(T.routed_experts, 1.05))
+        rows = gradcheck_model(cfg)
         assert any(not r["passed"] for r in rows)
+
+    def test_detects_injected_noise_fault(self, monkeypatch):
+        # scale the gradient through the gate noise's softplus by 5%; only a training
+        # forward draws the noise, so only an audit of the training graph can see it
+        cfg = ModelConfig(**{**TINY, "h": 8, "d_ff": 8, "layer_kind": "moe", "noise_enabled": True})
+        noise = {f"l{i}.gate.wnoise" for i in range(cfg.n_layers)}
+        rows = gradcheck_model(cfg)
+        assert all(r["passed"] for r in rows)
+        monkeypatch.setattr(T, "softplus", scale_rule(T.softplus, 1.05))
+        failed = {r["group"] for r in gradcheck_model(cfg) if not r["passed"]}
+        assert noise <= failed
 
 
 class TestAnalyzeEmbeddings:

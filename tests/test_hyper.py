@@ -18,9 +18,10 @@ from hypermoe.hyper import (
 from hypermoe.model import build_model
 from hypermoe.moe import moe_forward, noisy_topk_gate
 from hypermoe.tasks import generate_task_batch
-from hypermoe.tensor import Rng, Tape, Tensor, finite_diff_grad
+from hypermoe.tensor import Rng, Tape, Tensor
 from hypermoe.training import combined_loss
 
+from oracles import finite_diff_grad
 from test_moe import decision_from_probs, make_bank, make_gate, oracle_grouped_ffn, oracle_grouped_ffn_back
 from test_tensor import tmean
 

@@ -6,8 +6,8 @@ public method of such a class, must be named by code in ``src/`` or
 an attribute, an import, or a dotted string (as in the benchmark's table of
 traced functions) spells it. Dunder methods are exempt. The benchmark's files
 are only parsed, never imported. A reference implementation that only tests
-compare against lives in the tests, as ``tests/test_hyper.py``'s per-token
-generated expert does.
+compare against lives in the tests, as ``tests/oracles.py``'s central
+difference and ``tests/test_hyper.py``'s per-token generated expert do.
 
 ``moe.py`` and ``hyper.py`` neither raise nor import ``ConfigurationError``:
 ``ModelConfig`` and ``Model`` check every value the layers receive.

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from hypermoe import tensor as T
 from hypermoe.errors import ContractError, DimensionError, TargetError
-from hypermoe.tensor import Rng, Tape, Tensor, finite_diff_grad
+from hypermoe.tensor import Rng, Tape, Tensor
+
+from oracles import finite_diff_grad
 
 
 def tmean(x: Tensor) -> Tensor:
