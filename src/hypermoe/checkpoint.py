@@ -1,10 +1,7 @@
-"""Binary checkpoints: a JSON manifest followed by a raw float64 payload.
-
-Layout: 8-byte magic, little-endian uint64 manifest length, UTF-8 JSON
-manifest, then every parameter's float64 little-endian buffer at the offset
-the manifest records. The manifest carries its format number, a sha256 of
-the payload, the config snapshot, and the step count. Format 2 stores each
-layer's expert bank as two stacked parameters, ``l{i}.experts.w1`` and
+"""Binary checkpoints: an 8-byte magic, a little-endian uint64 manifest length, a UTF-8 JSON
+manifest (its format number, each parameter's shape and offset, a sha256 of the payload, the
+config snapshot and the step count), then the float64 payload that ``_layout`` lays out. Format 2
+stores each layer's expert bank as two stacked parameters, ``l{i}.experts.w1`` and
 ``l{i}.experts.w2``; format 1 stored one pair per expert and is not read.
 """
 
@@ -14,6 +11,7 @@ import hashlib
 import json
 import os
 import struct
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,26 +20,33 @@ from .errors import ConfigurationError, IntegrityError
 from .model import Model
 
 MAGIC = b"HMOECKPT"
+HEADER = struct.Struct("<8sQ")  # the magic and the manifest length
 FORMAT = 2
+REQUIRED_KEYS = ("format", "step", "config", "params", "sha256")
+
+
+def _layout(model: Model) -> list[tuple[str, np.ndarray, int]]:
+    """Each parameter's name, little-endian float64 buffer and payload offset: in name order, each
+    right after the last. On a little-endian host each buffer is the parameter's own array."""
+    names = sorted(model.params)
+    bufs = [np.ascontiguousarray(model.params[name].data, dtype="<f8") for name in names]
+    # the running byte counts from 0; zip drops the last, the payload's size
+    return list(zip(names, bufs, accumulate((buf.nbytes for buf in bufs), initial=0)))
 
 
 def save_checkpoint(model: Model, path: str, step: int = 0) -> None:
     """Write ``model`` to ``path`` with ``step``, atomically: into a new file beside it, then renamed.
 
-    The payload is written straight from the parameters' buffers: one pass hashes them, then
+    The payload is written straight from the layout's buffers: one pass hashes them, then
     each is written after the manifest, so a save holds no copy of the parameters."""
-    names = sorted(model.params)
-    bufs = [np.ascontiguousarray(model.params[name].data, dtype="<f8") for name in names]
-    entries, offset, digest = [], 0, hashlib.sha256()
-    for name, buf in zip(names, bufs):
-        entries.append({"name": name, "shape": list(model.params[name].shape), "offset": offset})
+    layout, digest = _layout(model), hashlib.sha256()
+    for _, buf, _ in layout:
         digest.update(buf)
-        offset += buf.nbytes
     manifest = {
         "format": FORMAT,
         "step": step,
         "config": model.cfg.to_dict(),
-        "params": entries,
+        "params": [{"name": name, "shape": list(buf.shape), "offset": offset} for name, buf, offset in layout],
         "sha256": digest.hexdigest(),
     }
     blob = json.dumps(manifest).encode("utf-8")
@@ -50,10 +55,8 @@ def save_checkpoint(model: Model, path: str, step: int = 0) -> None:
     f = open(tmp, "xb")
     try:
         with f:
-            f.write(MAGIC)
-            f.write(struct.pack("<Q", len(blob)))
-            f.write(blob)
-            for buf in bufs:
+            f.write(HEADER.pack(MAGIC, len(blob)) + blob)
+            for _, buf, _ in layout:
                 f.write(buf)
         os.replace(tmp, path)
     except BaseException:
@@ -61,45 +64,13 @@ def save_checkpoint(model: Model, path: str, step: int = 0) -> None:
         raise
 
 
-REQUIRED_KEYS = ("format", "step", "config", "params", "sha256")
-
-
-def _read(path: str) -> tuple[dict, memoryview]:
-    """Read a checkpoint file once; return its manifest and a view of its payload."""
-    try:
-        with open(path, "rb") as f:
-            data = memoryview(f.read())
-    except OSError as e:
-        raise IntegrityError(f"{path}: cannot read checkpoint: {e.strerror}") from e
-    head = len(MAGIC) + 8
-    if len(data) < head or data[: len(MAGIC)] != MAGIC:
-        raise IntegrityError(f"{path}: not a checkpoint file")
-    (blob_len,) = struct.unpack("<Q", data[len(MAGIC) : head])
-    blob = data[head : head + blob_len]
-    if len(blob) != blob_len:
-        raise IntegrityError(f"{path}: truncated manifest")
-    try:
-        manifest = json.loads(str(blob, "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise IntegrityError(f"{path}: corrupt manifest: {e}") from e
-    return manifest, data[head + blob_len :]
-
-
-def load_checkpoint(path: str) -> tuple[Model, int]:
-    """Rebuild the model; parameters are bit-exact copies of the saved ones.
-
-    Every parameter of the model must be in the checkpoint once, with the
-    model's shape, and the checkpoint may name no other; otherwise no model
-    is returned.
-    """
-    manifest, payload = _read(path)
+def _checked_model(path: str, manifest) -> tuple[Model, list[tuple[str, np.ndarray, int]]]:
+    """The unset model a manifest describes, and its layout, which the manifest must list exactly."""
     missing = [key for key in REQUIRED_KEYS if key not in manifest] if isinstance(manifest, dict) else REQUIRED_KEYS
     if missing:
         raise IntegrityError(f"{path}: manifest lacks {', '.join(missing)}")
     if manifest["format"] != FORMAT:
         raise IntegrityError(f"{path}: checkpoint format {json.dumps(manifest['format'])}, this version reads {FORMAT}")
-    if hashlib.sha256(payload).hexdigest() != manifest["sha256"]:
-        raise IntegrityError(f"{path}: payload checksum mismatch (truncated or corrupt)")
     if type(manifest["params"]) is not list:
         raise IntegrityError(f"{path}: manifest params must be a list, got {type(manifest['params']).__name__}")
     try:
@@ -108,8 +79,8 @@ def load_checkpoint(path: str) -> tuple[Model, int]:
         model = Model(ModelConfig.from_dict(manifest["config"]), init=False)
     except ConfigurationError as e:
         raise IntegrityError(f"{path}: invalid embedded config: {e}") from e
-
-    loaded = set()
+    layout = _layout(model)
+    unlisted = {name: (list(buf.shape), offset) for name, buf, offset in layout}
     for entry in manifest["params"]:
         if not (
             type(entry) is dict
@@ -123,22 +94,50 @@ def load_checkpoint(path: str) -> tuple[Model, int]:
                 f"{path}: manifest entry {json.dumps(entry)} needs a str name, "
                 "a list-of-int shape and an int offset >= 0"
             )
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        if name in loaded:
-            raise IntegrityError(f"{path}: manifest lists parameter {name!r} twice")
+        name = entry["name"]
         if name not in model.params:
             raise IntegrityError(f"{path}: manifest names unknown parameter {name!r}")
-        param = model.params[name]
-        if shape != param.shape:
-            raise IntegrityError(
-                f"{path}: parameter {name!r} has shape {list(shape)}, the model needs {list(param.shape)}"
-            )
-        raw = payload[offset : offset + param.size * 8]
-        if len(raw) != param.size * 8:
-            raise IntegrityError(f"{path}: payload truncated at parameter {name!r}")
-        param.data[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        loaded.add(name)
-    absent = sorted(set(model.params) - loaded)
-    if absent:
-        raise IntegrityError(f"{path}: checkpoint lacks parameter(s) {', '.join(absent)}")
+        if name not in unlisted:
+            raise IntegrityError(f"{path}: manifest lists parameter {name!r} twice")
+        shape, offset = unlisted.pop(name)
+        if entry["shape"] != shape:
+            raise IntegrityError(f"{path}: parameter {name!r} has shape {entry['shape']}, the model needs {shape}")
+        if entry["offset"] != offset:
+            raise IntegrityError(f"{path}: parameter {name!r} has offset {entry['offset']}, name order needs {offset}")
+    if unlisted:
+        raise IntegrityError(f"{path}: checkpoint lacks parameter(s) {', '.join(sorted(unlisted))}")
+    return model, layout
+
+
+def load_checkpoint(path: str) -> tuple[Model, int]:
+    """Rebuild the model with bit-exact copies of the saved parameters, or raise ``IntegrityError``.
+    One pass reads the file front to back: the header, the manifest (no longer than the file), then
+    each parameter's bytes into it, in layout order, hashed as they land; no byte may follow the last."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(HEADER.size)
+            if len(head) < HEADER.size or head[: len(MAGIC)] != MAGIC:
+                raise IntegrityError(f"{path}: not a checkpoint file")
+            _, blob_len = HEADER.unpack(head)
+            blob = f.read(min(blob_len, max(os.fstat(f.fileno()).st_size - HEADER.size, 0)))
+            if len(blob) != blob_len:
+                raise IntegrityError(f"{path}: truncated manifest")
+            try:
+                manifest = json.loads(str(blob, "utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as e:
+                raise IntegrityError(f"{path}: corrupt manifest: {e}") from e
+            model, layout = _checked_model(path, manifest)
+            digest = hashlib.sha256()
+            for name, buf, _ in layout:
+                if f.readinto(buf) != buf.nbytes:
+                    raise IntegrityError(f"{path}: payload truncated at parameter {name!r}")
+                digest.update(buf)
+                if buf is not model.params[name].data:  # a big-endian host reads into a copy
+                    model.params[name].data[...] = buf
+            if f.read(1):
+                raise IntegrityError(f"{path}: bytes after the last parameter")
+    except OSError as e:
+        raise IntegrityError(f"{path}: cannot read checkpoint: {e.strerror}") from e
+    if digest.hexdigest() != manifest["sha256"]:
+        raise IntegrityError(f"{path}: payload checksum mismatch (truncated or corrupt)")
     return model, manifest["step"]

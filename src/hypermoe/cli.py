@@ -1,7 +1,8 @@
 """Command-line surface: train, eval, bench, gradcheck, analyze-embeddings, compare.
 
-Exit codes: 0 success, 2 config or argument error, 3 runtime/divergence
-error, 4 checkpoint integrity error (corrupt, missing or unreadable).
+Exit codes: 0 success, 2 config or argument error, 3 runtime error (a
+divergence, a failed gradient check, running out of memory), 4 checkpoint
+integrity error (corrupt, missing or unreadable).
 """
 
 from __future__ import annotations
@@ -158,9 +159,10 @@ def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[dict]:
         model.expert_table = tables.__getitem__
     data_rng = Rng(cfg.seed).spawn("gradcheck")
     inputs, targets = generate_task_batch(model.task, data_rng, min(cfg.batch_size, 8))
+    noise_seed = Rng(cfg.seed).spawn("gradcheck-noise").seed
 
     def loss_value() -> Tensor:  # a freshly seeded stream per forward, so every forward draws the same noise
-        result = model.forward(inputs, training=True, noise_rng=Rng(cfg.seed).spawn("gradcheck-noise"))
+        result = model.forward(inputs, training=True, noise_rng=Rng(noise_seed))
         return combined_loss(result, targets, model.task, cfg)[0]
 
     with Tape():
@@ -390,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
     except (IndexError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as e:  # numpy's says what it could not allocate; a bare one says nothing
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -345,6 +345,16 @@ class TestGradcheckCommand:
         assert "gradcheck is limited" in capsys.readouterr().err
         assert draws == []
 
+    def test_noise_stream_is_seeded_once(self, monkeypatch):
+        # every forward rebuilds the noise stream from one precomputed seed, not by a spawn each
+        spawned = []
+        spawn = Rng.spawn
+        monkeypatch.setattr(Rng, "spawn", lambda self, key: spawned.append(key) or spawn(self, key))
+        cfg = ModelConfig(**{**TINY, "h": 8, "d_ff": 8, "layer_kind": "moe", "noise_enabled": True})
+        rows = gradcheck_model(cfg)
+        assert spawned.count("gradcheck-noise") == 1
+        assert all(r["passed"] for r in rows)
+
     def test_detects_injected_backward_fault(self, monkeypatch):
         # scale gradients flowing through the routed experts by 5% without
         # touching the forward values; the affected groups must be reported as failing
@@ -476,6 +486,26 @@ class TestRegressionTask:
         model = build_model(ModelConfig(**{**TINY, "task": "piecewise_regression", "layer_kind": "hypermoe"}))
         train_model(model)
         assert (method, seed, float(metric)) == ("hypermoe", "0", evaluate(model, TINY["eval_size"])["mse"])
+
+
+@pytest.mark.parametrize(
+    "error,line",
+    [
+        (MemoryError("Unable to allocate 256. MiB for an array"), "error: out of memory: Unable to allocate 256. MiB"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_exits_3_with_one_line(error, line, config_path, tmp_path, capsys, monkeypatch):
+    import hypermoe.cli as cli
+
+    def run_out_of_memory(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_train", run_out_of_memory)
+    assert main(["train", "--config", config_path, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["compare", "bench"])

@@ -802,6 +802,12 @@ def entry(manifest, name):
     return next(e for e in manifest["params"] if e["name"] == name)
 
 
+def swap_offsets(manifest, a, b):
+    """Trade two entries' offsets; the sha256 covers the payload, not the manifest, so it still passes."""
+    first, second = entry(manifest, a), entry(manifest, b)
+    first["offset"], second["offset"] = second["offset"], first["offset"]
+
+
 class TestCheckpointManifest:
     @pytest.fixture
     def path(self, tmp_path):
@@ -840,6 +846,7 @@ class TestCheckpointManifest:
             (lambda m: entry(m, "head.b").update(shape=[2.0]), "list-of-int shape"),
             (lambda m: entry(m, "head.b").pop("offset"), "int offset >= 0"),
             (lambda m: entry(m, "head.b").update(offset=-16), "int offset >= 0"),
+            (lambda m: swap_offsets(m, "l0.attn.wq", "l0.attn.wk"), r"'l0\.attn\.w[qk]' has offset \d+, name"),
             (lambda m: m["params"].append(dict(entry(m, "head.b"))), "'head.b' twice"),
             (lambda m: m.update(config="x"), "invalid embedded config: a config must be a JSON object, got str"),
             (lambda m: m["config"].update(h=0), "invalid embedded config: h must be"),
@@ -855,8 +862,8 @@ class TestCheckpointManifest:
         ],
         ids=[
             "format-1", "format-str", "params-not-list", "entry-not-object", "name-not-str", "shape-not-ints",
-            "offset-missing", "offset-negative", "name-twice", "config-not-object", "config-bad-field",
-            "config-pool-too-large", "config-too-many-parameters", "config-renormalize-gate",
+            "offset-missing", "offset-negative", "offsets-swapped", "name-twice", "config-not-object",
+            "config-bad-field", "config-pool-too-large", "config-too-many-parameters", "config-renormalize-gate",
             "config-eval-chunk-too-large",
         ],
     )
@@ -875,8 +882,12 @@ class TestCheckpointManifest:
             (lambda data: data[:HEAD] + b"\xff" + data[HEAD + 1 :], "corrupt manifest: 'utf-8' codec"),
             (lambda data: data[:HEAD] + b"x" + data[HEAD + 1 :], "corrupt manifest: Expecting value"),
             (lambda data: rehashed(data[:-8]), "payload truncated at parameter"),
+            (lambda data: rehashed(data + bytes(8)), "bytes after the last parameter"),
         ],
-        ids=["manifest-past-eof", "manifest-not-utf8", "manifest-not-json", "payload-truncated-rehashed"],
+        ids=[
+            "manifest-past-eof", "manifest-not-utf8", "manifest-not-json", "payload-truncated-rehashed",
+            "payload-trailing-bytes-rehashed",
+        ],
     )
     def test_corrupt_bytes_exit_4(self, path, corrupt, message, capsys):
         with open(path, "rb") as f:
@@ -896,6 +907,66 @@ class TestCheckpointManifest:
             load_checkpoint(path)
         assert main(["eval", "--checkpoint", path]) == EXIT_INTEGRITY
         assert key in capsys.readouterr().err
+
+    def test_read_error_mid_payload_exits_4(self, path, monkeypatch, capsys):
+        class FailsAtThirdParameter:
+            def __init__(self, f):
+                self.f, self.fills = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def readinto(self, buf):
+                self.fills += 1
+                if self.fills == 3:
+                    raise OSError(errno.EIO, "Input/output error")
+                return self.f.readinto(buf)
+
+        monkeypatch.setattr(
+            checkpoint, "open", lambda *a, **k: FailsAtThirdParameter(builtins.open(*a, **k)), raising=False
+        )
+        with pytest.raises(IntegrityError, match=f"^{re.escape(path)}: cannot read checkpoint: Input/output error"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", path]) == EXIT_INTEGRITY
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+class TestCheckpointReadBounds:
+    """A load reads the file once, front to back, and holds one copy of the parameters."""
+
+    def test_large_file_that_is_no_checkpoint_is_not_read(self, tmp_path):
+        path = tmp_path / "sparse.bin"
+        with open(path, "wb") as f:
+            f.truncate(64 * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrityError, match="not a checkpoint file"):
+                load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_load_holds_one_copy_of_the_parameters(self, tmp_path):
+        path = str(tmp_path / "ck.bin")
+        model = build_model(tiny_cfg(layer_kind="hypermoe", h=32, d_ff=96, n_experts=4))
+        payload = sum(p.data.nbytes for p in model.params.values())
+        save_checkpoint(model, path)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * payload, (peak, payload)
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data), name
 
 
 class TestBatchGeneration:
